@@ -24,11 +24,15 @@
 // semantics: they quiesce the shards and reflect every element fed before
 // the call.
 //
-// All of that machinery lives once, in the generic runtime (runtime.go);
-// this file defines the two flat-engine façades — Engine for
-// insertion-only streams, TurnstileEngine for insertion-deletion streams —
-// each contributing its boundary validation and per-shard core algorithm.
-// StarEngine, the third façade, lives in starengine.go.
+// All of that machinery lives once, in the generic runtime (runtime.go),
+// together with the lifecycle and instrumentation methods every engine
+// kind shares (Flush, Drain, Close, QueueDepths, Usage, ...), which each
+// façade inherits by embedding its runtime.  This file defines the
+// insertion-only and turnstile façades — Engine for insertion-only
+// streams, TurnstileEngine for insertion-deletion streams — each
+// contributing its configuration, boundary validation, feed entry points,
+// query selection and per-shard core algorithm.  The other two façades
+// live in starengine.go (StarEngine) and windowengine.go (WindowEngine).
 
 package feww
 
@@ -144,7 +148,7 @@ func (cfg *EngineConfig) resolve() error {
 // kind remain valid after Close.
 type Engine struct {
 	cfg EngineConfig
-	rt  *engineRuntime[Edge]
+	*engineRuntime[Edge]
 }
 
 // NewEngine constructs a sharded engine and starts its shard goroutines.
@@ -190,29 +194,28 @@ func newEngineFromInners(cfg EngineConfig, inners []*core.InsertOnly) *Engine {
 	}
 	return &Engine{
 		cfg: cfg,
-		rt: newRuntime("Engine", cfg.BatchSize, cfg.QueueDepth, engineSnapHeaderBytes,
+		engineRuntime: newRuntime("Engine", cfg.BatchSize, cfg.QueueDepth, engineSnapHeaderBytes,
 			func(e Edge) int64 { return e.A },
 			func(e *Edge, a int64) { e.A = a },
 			algos),
 	}
 }
 
-// Shards returns the number of partitions in use.
-func (e *Engine) Shards() int { return len(e.rt.shards) }
-
 // Config returns the resolved configuration the engine runs with:
 // defaults applied, shard count clamped.  It is also the configuration a
 // snapshot persists.
 func (e *Engine) Config() EngineConfig { return e.cfg }
 
-// checkEdge validates one occurrence against the engine's universe.  A
-// negative item would make the shard router's modulo negative (an
-// out-of-range shard index); an item >= N would silently land in the
-// wrong residue class and corrupt the local/global id mapping.  Both are
-// rejected here, before anything is buffered.
-func (e *Engine) checkEdge(i, total int, a, b int64) error {
-	if a < 0 || a >= e.cfg.N {
-		return fmt.Errorf("%w: edge %d of %d: item %d not in [0, %d)", ErrOutOfUniverse, i, total, a, e.cfg.N)
+// checkEdge validates one occurrence against an n-item universe — the
+// boundary rule Engine and WindowEngine share.  A negative item would
+// make the shard router's modulo negative (an out-of-range shard index);
+// an item >= n would silently land in the wrong residue class and
+// corrupt the local/global id mapping.  The witness space is unbounded
+// but must be non-negative.  Violations are rejected here, before
+// anything is buffered.
+func checkEdge(n int64, i, total int, a, b int64) error {
+	if a < 0 || a >= n {
+		return fmt.Errorf("%w: edge %d of %d: item %d not in [0, %d)", ErrOutOfUniverse, i, total, a, n)
 	}
 	if b < 0 {
 		return fmt.Errorf("%w: edge %d of %d: witness %d is negative", ErrOutOfUniverse, i, total, b)
@@ -226,10 +229,10 @@ func (e *Engine) checkEdge(i, total int, a, b int64) error {
 // wrapping ErrOutOfUniverse for an edge outside the configured universe
 // and ErrClosed after Close; in both cases nothing is fed.
 func (e *Engine) ProcessEdge(a, b int64) error {
-	if err := e.checkEdge(0, 1, a, b); err != nil {
+	if err := checkEdge(e.cfg.N, 0, 1, a, b); err != nil {
 		return err
 	}
-	return e.rt.f.add(Edge{A: a, B: b})
+	return e.f.add(Edge{A: a, B: b})
 }
 
 // ProcessEdges feeds a batch of occurrences in order.  The slice is copied
@@ -238,44 +241,23 @@ func (e *Engine) ProcessEdge(a, b int64) error {
 // state is exactly as before the call.
 func (e *Engine) ProcessEdges(edges []Edge) error {
 	for i, ed := range edges {
-		if err := e.checkEdge(i, len(edges), ed.A, ed.B); err != nil {
+		if err := checkEdge(e.cfg.N, i, len(edges), ed.A, ed.B); err != nil {
 			return err
 		}
 	}
-	return e.rt.f.addBatch(edges)
+	return e.f.addBatch(edges)
 }
-
-// Flush hands every buffered edge to its shard queue without waiting for
-// the shards to apply them.  The published views catch up as soon as the
-// workers drain the handed-off batches.
-func (e *Engine) Flush() error { return e.rt.f.flush() }
-
-// Drain flushes and blocks until every shard has applied everything queued
-// so far; afterwards all previously fed edges are reflected in queries of
-// both consistencies (the workers republish before acknowledging).
-func (e *Engine) Drain() error { return e.rt.f.drain() }
-
-// Close flushes buffered edges, waits for the shards to apply them, and
-// stops the shard goroutines.  The engine stays queryable after Close
-// (the final published epochs reflect the complete stream); feeding
-// further edges returns ErrClosed.  Close is idempotent.
-func (e *Engine) Close() { e.rt.f.close() }
-
-// Closed reports whether Close has run — i.e. whether the engine still
-// accepts the stream.  Queries remain valid either way; the service
-// health probe exposes this as its serving flag.
-func (e *Engine) Closed() bool { return e.rt.f.isClosed() }
 
 // Result returns a frequent item with at least ceil(D/Alpha) witnesses
 // from the latest published epochs, or ErrNoWitness if no shard has
 // published one.  The choice is deterministic: the smallest-id frequent
 // item of the lowest-index shard holding one — the same selection
 // ResultFresh makes, so the two consistencies agree on quiescent state.
-func (e *Engine) Result() (Neighbourhood, error) { return e.rt.result(false) }
+func (e *Engine) Result() (Neighbourhood, error) { return e.result(false) }
 
 // ResultFresh is Result under the strict barrier: it quiesces the shards
 // first, so the answer reflects every edge fed before the call.
-func (e *Engine) ResultFresh() (Neighbourhood, error) { return e.rt.result(true) }
+func (e *Engine) ResultFresh() (Neighbourhood, error) { return e.result(true) }
 
 // Results returns every distinct frequent element in the latest published
 // epochs, sorted by global item id.  The per-item partition guarantees no
@@ -284,58 +266,24 @@ func (e *Engine) ResultFresh() (Neighbourhood, error) { return e.rt.result(true)
 // The returned neighbourhoods stay valid forever, but their witness
 // slices are shared with the published view (and with other callers on
 // the same epoch) — treat them as read-only.
-func (e *Engine) Results() []Neighbourhood { return e.rt.results(false) }
+func (e *Engine) Results() []Neighbourhood { return e.results(false) }
 
 // ResultsFresh is Results under the strict barrier.
-func (e *Engine) ResultsFresh() []Neighbourhood { return e.rt.results(true) }
+func (e *Engine) ResultsFresh() []Neighbourhood { return e.results(true) }
 
 // Best max-selects the largest neighbourhood across the latest published
 // epochs, even if below the ceil(D/Alpha) target; found is false only if
 // no shard has published anything.  Ties break toward the lower shard
 // index.  Barrier-free; see Results.
-func (e *Engine) Best() (Neighbourhood, bool) { return e.rt.best(false) }
+func (e *Engine) Best() (Neighbourhood, bool) { return e.best(false) }
 
 // BestFresh is Best under the strict barrier.
-func (e *Engine) BestFresh() (Neighbourhood, bool) { return e.rt.best(true) }
-
-// WitnessTarget returns ceil(D/Alpha), the guaranteed output size.
-func (e *Engine) WitnessTarget() int64 { return e.rt.witnessTarget() }
+func (e *Engine) BestFresh() (Neighbourhood, bool) { return e.best(true) }
 
 // EdgesProcessed returns the number of edges fed to the engine.  The
 // counter is maintained on the producer side, so no shard synchronisation
 // is needed: polling it mid-stream is free.
-func (e *Engine) EdgesProcessed() int64 { return e.rt.f.count.Load() }
-
-// QueueDepths samples the number of elements buffered for each shard:
-// both the batches handed to the shard queue and not yet applied, and
-// the elements still accumulating in the shard's producer-side fill
-// buffer — so light load reads as the handful of edges actually parked,
-// not zero.  A persistently large depth (approaching the configured
-// QueueDepth × BatchSize) marks the shard as the ingest bottleneck —
-// typically an item-skew hot spot.  The numbers are instantaneous: no
-// barrier is taken, so they may be stale by the time they are read.
-func (e *Engine) QueueDepths() []int { return e.rt.f.queueDepths() }
-
-// ViewEpochs reports each shard's published epoch number — 0 before the
-// first publication, then incremented every time the shard's worker
-// republishes its view.  Monotonically non-decreasing per shard; a shard
-// whose epoch stops advancing under load is applying batches without ever
-// idling (publication coalesces under backlog).
-func (e *Engine) ViewEpochs() []uint64 { return e.rt.viewEpochs() }
-
-// SpaceWords reports the state size summed over the latest published
-// epochs.  Sharding pays the O(n log n) degree-table term once in total
-// (each shard tracks only its own items) while the n^(1/Alpha) reservoir
-// term is paid per shard on a universe P times smaller.
-func (e *Engine) SpaceWords() int { return e.rt.spaceWords(false) }
-
-// SpaceWordsFresh is SpaceWords under the strict barrier.
-func (e *Engine) SpaceWordsFresh() int { return e.rt.spaceWords(true) }
-
-// Usage reports SpaceWords and SnapshotSize from the latest published
-// epochs — what a periodic stats poll should call, since it costs a few
-// atomic loads and never quiesces the shards.
-func (e *Engine) Usage() (spaceWords, snapshotBytes int) { return e.rt.usage(false) }
+func (e *Engine) EdgesProcessed() int64 { return e.f.count.Load() }
 
 // TurnstileEngineConfig parameterises the sharded insertion-deletion
 // engine.  MaxSamplers in the embedded config caps each shard separately.
@@ -362,7 +310,7 @@ func (cfg *TurnstileEngineConfig) resolve() error {
 // Fresh variants for the strict barrier.
 type TurnstileEngine struct {
 	cfg TurnstileEngineConfig
-	rt  *engineRuntime[Update]
+	*engineRuntime[Update]
 }
 
 // NewTurnstileEngine constructs a sharded turnstile engine and starts its
@@ -408,22 +356,19 @@ func newTurnstileFromInners(cfg TurnstileEngineConfig, inners []*core.InsertDele
 	}
 	return &TurnstileEngine{
 		cfg: cfg,
-		rt: newRuntime("TurnstileEngine", cfg.BatchSize, cfg.QueueDepth, turnstileSnapHeaderBytes,
+		engineRuntime: newRuntime("TurnstileEngine", cfg.BatchSize, cfg.QueueDepth, turnstileSnapHeaderBytes,
 			func(u Update) int64 { return u.A },
 			func(u *Update, a int64) { u.A = a },
 			algos),
 	}
 }
 
-// Shards returns the number of partitions in use.
-func (e *TurnstileEngine) Shards() int { return len(e.rt.shards) }
-
 // Config returns the resolved configuration the engine runs with; see
 // (*Engine).Config.
 func (e *TurnstileEngine) Config() TurnstileEngineConfig { return e.cfg }
 
 // checkUpdate validates one signed update against the engine's universe
-// and the turnstile op set; see (*Engine).checkEdge for why out-of-range
+// and the turnstile op set; see checkEdge for why out-of-range
 // items must be stopped before the shard router.
 func (e *TurnstileEngine) checkUpdate(i, total int, u Update) error {
 	if u.Op != stream.Insert && u.Op != stream.Delete {
@@ -446,7 +391,7 @@ func (e *TurnstileEngine) Insert(a, b int64) error {
 	if err := e.checkUpdate(0, 1, u); err != nil {
 		return err
 	}
-	return e.rt.f.add(u)
+	return e.f.add(u)
 }
 
 // Delete feeds the deletion of edge (a, b); the edge must currently exist
@@ -456,7 +401,7 @@ func (e *TurnstileEngine) Delete(a, b int64) error {
 	if err := e.checkUpdate(0, 1, u); err != nil {
 		return err
 	}
-	return e.rt.f.add(u)
+	return e.f.add(u)
 }
 
 // ProcessUpdates feeds a batch of signed updates in order.  The slice is
@@ -468,55 +413,19 @@ func (e *TurnstileEngine) ProcessUpdates(ups []Update) error {
 			return err
 		}
 	}
-	return e.rt.f.addBatch(ups)
+	return e.f.addBatch(ups)
 }
-
-// Flush hands every buffered update to its shard queue without waiting.
-func (e *TurnstileEngine) Flush() error { return e.rt.f.flush() }
-
-// Drain flushes and blocks until every shard has applied everything queued.
-func (e *TurnstileEngine) Drain() error { return e.rt.f.drain() }
-
-// Close flushes, waits for the shards to drain, and stops them.  The
-// engine stays queryable after Close; feeding further updates returns
-// ErrClosed.  Close is idempotent.
-func (e *TurnstileEngine) Close() { e.rt.f.close() }
-
-// Closed reports whether Close has run; see (*Engine).Closed.
-func (e *TurnstileEngine) Closed() bool { return e.rt.f.isClosed() }
 
 // Result returns a frequent item of the final graph with at least
 // ceil(D/Alpha) live witnesses from the latest published epochs, or
 // ErrNoWitness if no shard has published one.  Shards are consulted in
 // index order.  Barrier-free; see (*Engine).Results for the contract.
-func (e *TurnstileEngine) Result() (Neighbourhood, error) { return e.rt.result(false) }
+func (e *TurnstileEngine) Result() (Neighbourhood, error) { return e.result(false) }
 
 // ResultFresh is Result under the strict barrier: it quiesces the shards
 // first, so the answer reflects every update fed before the call.
-func (e *TurnstileEngine) ResultFresh() (Neighbourhood, error) { return e.rt.result(true) }
-
-// WitnessTarget returns ceil(D/Alpha).
-func (e *TurnstileEngine) WitnessTarget() int64 { return e.rt.witnessTarget() }
+func (e *TurnstileEngine) ResultFresh() (Neighbourhood, error) { return e.result(true) }
 
 // UpdatesProcessed returns the number of updates fed to the engine.  The
 // counter is maintained on the producer side, so polling it is free.
-func (e *TurnstileEngine) UpdatesProcessed() int64 { return e.rt.f.count.Load() }
-
-// QueueDepths samples the number of elements buffered per shard (queued
-// batches plus the fill buffer); see (*Engine).QueueDepths.
-func (e *TurnstileEngine) QueueDepths() []int { return e.rt.f.queueDepths() }
-
-// ViewEpochs reports each shard's published epoch number; see
-// (*Engine).ViewEpochs.
-func (e *TurnstileEngine) ViewEpochs() []uint64 { return e.rt.viewEpochs() }
-
-// SpaceWords reports the state size summed over the latest published
-// epochs; barrier-free.
-func (e *TurnstileEngine) SpaceWords() int { return e.rt.spaceWords(false) }
-
-// SpaceWordsFresh is SpaceWords under the strict barrier.
-func (e *TurnstileEngine) SpaceWordsFresh() int { return e.rt.spaceWords(true) }
-
-// Usage reports SpaceWords and SnapshotSize from the latest published
-// epochs; see (*Engine).Usage.
-func (e *TurnstileEngine) Usage() (spaceWords, snapshotBytes int) { return e.rt.usage(false) }
+func (e *TurnstileEngine) UpdatesProcessed() int64 { return e.f.count.Load() }

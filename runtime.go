@@ -1,14 +1,17 @@
 // The generic sharded runtime.  Engine (insertion-only), TurnstileEngine
 // (insertion-deletion), StarEngine (star detection) and WindowEngine
-// (sliding-window) are thin façades
-// over the one implementation in this file: the per-item residue
-// partition, the fanout/queue/batch machinery (shard.go), the published
-// core.View epochs with their fresh-barrier rendezvous, Drain/Close/
-// Flush, the QueueDepths/ViewEpochs/Usage instrumentation, and the
-// FEWWENG1 snapshot container.  A façade contributes exactly three
-// things: boundary validation for its element type, the per-shard
-// algorithm (a shardAlgo implementation from internal/core), and its
-// query-merge selection rules where they differ from the default.
+// (sliding-window) are thin façades over the one implementation in this
+// file: the per-item residue partition, the fanout/queue/batch machinery
+// (shard.go), the published core.View epochs with their fresh-barrier
+// rendezvous, and the FEWWENG1 snapshot container.  The lifecycle and
+// instrumentation surface — Shards, Flush, Drain, Close, Closed,
+// WitnessTarget, QueueDepths, ViewEpochs, SpaceWords(Fresh),
+// Usage(Fresh), SnapshotSize — is defined once here, on engineRuntime,
+// and promoted: every façade embeds its runtime.  A façade contributes
+// its configuration, boundary validation and feed entry points for its
+// element type, the per-shard algorithm (a shardAlgo implementation from
+// internal/core), its query-merge selection rules where they differ from
+// the default, and its snapshot header.
 //
 // The parameterisation is deliberately small.  shardAlgo is the whole
 // contract between the runtime and an algorithm: a batched mutation
@@ -92,8 +95,8 @@ func (sh *rtShard[E]) global(local int64) int64 { return local*sh.stride + int64
 // local/global id mapping breaks.
 func shardUniverse(n, p int64, i int) int64 { return (n - int64(i) + p - 1) / p }
 
-// runtime is the shared engine body.  The zero value is not usable;
-// build one with newRuntime.
+// engineRuntime is the shared engine body.  The zero value is not
+// usable; build one with newRuntime.
 type engineRuntime[E any] struct {
 	shards      []*rtShard[E]
 	f           *fanout[E]
@@ -224,39 +227,96 @@ func (rt *engineRuntime[E]) best(fresh bool) (Neighbourhood, bool) {
 	return best, found
 }
 
-// spaceWords sums the state size across shards.  QueryView skips the
-// size accounting, so the fresh path reads the algorithms directly
-// under the barrier.
-func (rt *engineRuntime[E]) spaceWords(fresh bool) int {
-	words := 0
-	if fresh {
-		rt.f.query(func() {
-			for _, sh := range rt.shards {
-				words += sh.algo.SpaceWords()
-			}
-		})
-		return words
+// Shards returns the number of partitions in use.
+func (rt *engineRuntime[E]) Shards() int { return len(rt.shards) }
+
+// Flush hands every buffered element to its shard queue without waiting
+// for the shards to apply them.  The published views catch up as soon as
+// the workers drain the handed-off batches.
+func (rt *engineRuntime[E]) Flush() error { return rt.f.flush() }
+
+// Drain flushes and blocks until every shard has applied everything queued
+// so far; afterwards all previously fed elements are reflected in queries
+// of both consistencies (the workers republish before acknowledging — on a
+// WindowEngine idle shards too, since their horizon moves with the global
+// clock).
+func (rt *engineRuntime[E]) Drain() error { return rt.f.drain() }
+
+// Close flushes buffered elements, waits for the shards to apply them,
+// and stops the shard goroutines.  The engine stays queryable after Close
+// (the final published epochs reflect the complete stream); feeding
+// further elements returns ErrClosed.  Close is idempotent.
+func (rt *engineRuntime[E]) Close() { rt.f.close() }
+
+// Closed reports whether Close has run — i.e. whether the engine still
+// accepts the stream.  Queries remain valid either way; the service
+// health probe exposes this as its serving flag.
+func (rt *engineRuntime[E]) Closed() bool { return rt.f.isClosed() }
+
+// WitnessTarget returns ceil(D/Alpha), the guaranteed output size,
+// identical on every shard by construction.  On a StarEngine it is the
+// topmost rung's target — the static ceiling ceil(maxGuess/Alpha) on any
+// answer's certified size, identical on every member of a cluster over
+// the same graph (the coherence value the health probe reports); the
+// target an answer actually certifies is its StarResult.Target.
+func (rt *engineRuntime[E]) WitnessTarget() int64 { return rt.shards[0].algo.WitnessTarget() }
+
+// QueueDepths samples the number of elements buffered for each shard:
+// both the batches handed to the shard queue and not yet applied, and
+// the elements still accumulating in the shard's producer-side fill
+// buffer — so light load reads as the handful of elements actually
+// parked, not zero.  A persistently large depth (approaching the
+// configured QueueDepth × BatchSize) marks the shard as the ingest
+// bottleneck — typically an item-skew hot spot.  The numbers are
+// instantaneous: no barrier is taken, so they may be stale by the time
+// they are read.
+func (rt *engineRuntime[E]) QueueDepths() []int { return rt.f.queueDepths() }
+
+// ViewEpochs reports each shard's published epoch number — 0 before the
+// first publication, then incremented every time the shard's worker
+// republishes its view.  Monotonically non-decreasing per shard; a shard
+// whose epoch stops advancing under load is applying batches without ever
+// idling (publication coalesces under backlog).
+func (rt *engineRuntime[E]) ViewEpochs() []uint64 {
+	epochs := make([]uint64, len(rt.shards))
+	for i, sh := range rt.shards {
+		epochs[i] = sh.view.Load().Epoch
 	}
+	return epochs
+}
+
+// SpaceWords reports the state size summed over the latest published
+// epochs — every rung (StarEngine) or retained suffix instance
+// (WindowEngine) of every shard.  Sharding pays the O(n log n)
+// degree-table term once in total (each shard tracks only its own items)
+// while the n^(1/Alpha) reservoir term is paid per shard on a universe P
+// times smaller.
+func (rt *engineRuntime[E]) SpaceWords() int {
+	words := 0
 	for _, sh := range rt.shards {
 		words += sh.view.Load().SpaceWords
 	}
 	return words
 }
 
-// usage reports SpaceWords and SnapshotSize together: from the published
-// epochs (a few atomic loads, what periodic stats polls should call) or
-// exact under one quiesce.
-func (rt *engineRuntime[E]) usage(fresh bool) (spaceWords, snapshotBytes int) {
+// SpaceWordsFresh is SpaceWords under the strict barrier.
+func (rt *engineRuntime[E]) SpaceWordsFresh() int {
+	// QueryBest/QueryResults skip the size accounting, so the barrier
+	// reads the algorithms directly.
+	words := 0
+	rt.f.query(func() {
+		for _, sh := range rt.shards {
+			words += sh.algo.SpaceWords()
+		}
+	})
+	return words
+}
+
+// Usage reports SpaceWords and SnapshotSize from the latest published
+// epochs — what a periodic stats poll should call, since it costs a few
+// atomic loads and never quiesces the shards.
+func (rt *engineRuntime[E]) Usage() (spaceWords, snapshotBytes int) {
 	snapshotBytes = rt.headerBytes
-	if fresh {
-		rt.f.query(func() {
-			for _, sh := range rt.shards {
-				spaceWords += sh.algo.SpaceWords()
-				snapshotBytes += 8 + sh.algo.SnapshotSize()
-			}
-		})
-		return spaceWords, snapshotBytes
-	}
 	for _, sh := range rt.shards {
 		v := sh.view.Load()
 		spaceWords += v.SpaceWords
@@ -265,19 +325,26 @@ func (rt *engineRuntime[E]) usage(fresh bool) (spaceWords, snapshotBytes int) {
 	return spaceWords, snapshotBytes
 }
 
-// viewEpochs reports each shard's published epoch number — 0 before the
-// first publication, then incremented on every republication.
-func (rt *engineRuntime[E]) viewEpochs() []uint64 {
-	epochs := make([]uint64, len(rt.shards))
-	for i, sh := range rt.shards {
-		epochs[i] = sh.view.Load().Epoch
-	}
-	return epochs
+// UsageFresh reports SpaceWords and SnapshotSize together under a single
+// quiesce — exact at the barrier, at the cost of stalling ingest once.
+// Periodic stats polls should prefer the barrier-free Usage.
+func (rt *engineRuntime[E]) UsageFresh() (spaceWords, snapshotBytes int) {
+	snapshotBytes = rt.headerBytes
+	rt.f.query(func() {
+		for _, sh := range rt.shards {
+			spaceWords += sh.algo.SpaceWords()
+			snapshotBytes += 8 + sh.algo.SnapshotSize()
+		}
+	})
+	return spaceWords, snapshotBytes
 }
 
-// witnessTarget returns the shared per-shard target (identical on every
-// shard by construction).
-func (rt *engineRuntime[E]) witnessTarget() int64 { return rt.shards[0].algo.WitnessTarget() }
+// SnapshotSize returns the exact byte length Snapshot would write, under
+// the same quiesce Snapshot itself takes.
+func (rt *engineRuntime[E]) SnapshotSize() int {
+	_, size := rt.UsageFresh()
+	return size
+}
 
 // snapshot writes the FEWWENG1 container under the runtime's quiesce:
 // magic, the engine kind byte, the kind-specific header words, the

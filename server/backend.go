@@ -131,7 +131,7 @@ func (b commonBackend) Usage(fresh bool) (int, int) {
 
 // NewInsertOnlyBackend wraps a sharded insertion-only engine.
 func NewInsertOnlyBackend(e *feww.Engine) Backend {
-	return &insertBackend{commonBackend{e}, e}
+	return newFlatBackend(e, "insert-only", "insertion-only engine", e.Config().N)
 }
 
 // NewTurnstileBackend wraps a sharded insertion-deletion engine.
@@ -146,21 +146,45 @@ func NewStarBackend(e *feww.StarEngine) Backend {
 
 // NewWindowBackend wraps a sharded sliding-window engine.
 func NewWindowBackend(e *feww.WindowEngine) Backend {
-	return &windowBackend{commonBackend{e}, e}
+	return windowBackend{newFlatBackend(e, "window", "sliding-window engine", e.Config().N), e}
 }
 
-type insertBackend struct {
+// flatEngine is the surface the two flat insert-only kinds share — the
+// insertion-only Engine and the WindowEngine: edges in, the runtime's
+// default Best/Results merge out.
+type flatEngine interface {
+	engineOps
+	ProcessEdges(edges []feww.Edge) error
+	Best() (feww.Neighbourhood, bool)
+	BestFresh() (feww.Neighbourhood, bool)
+	Results() []feww.Neighbourhood
+	ResultsFresh() []feww.Neighbourhood
+	EdgesProcessed() int64
+}
+
+// flatBackend adapts either flat kind.  The kinds differ only in the
+// name /stats reports, the engine named when a deletion is rejected, and
+// (for the window kind) the geometry probe windowBackend adds on top.
+type flatBackend struct {
 	commonBackend
-	e *feww.Engine
+	e      flatEngine
+	kind   string // Kind()
+	engine string // the engine named in the deletion-reject message
+	n      int64  // item universe, fixed at construction
 }
 
-func (b *insertBackend) Kind() string { return "insert-only" }
+func newFlatBackend(e flatEngine, kind, engine string, n int64) *flatBackend {
+	return &flatBackend{commonBackend{e}, e, kind, engine, n}
+}
 
-func (b *insertBackend) Ingest(ups []feww.Update) error {
-	// The op check lives here (the edge type the engine feeds on has no
-	// sign); universe validation is the engine's own boundary check, so a
-	// hostile id can never reach the shard router no matter who calls.
-	edges, err := insertEdges(ups, "insertion-only engine")
+func (b *flatBackend) Kind() string { return b.kind }
+
+// Ingest rejects deletions here (the edge type the engine feeds on has no
+// sign, and a sliding window forgets by aging out, not by explicit
+// removal); universe validation is the engine's own boundary check, so a
+// hostile id can never reach the shard router no matter who calls.
+func (b *flatBackend) Ingest(ups []feww.Update) error {
+	edges, err := insertEdges(ups, b.engine)
 	if err != nil {
 		return err
 	}
@@ -169,7 +193,7 @@ func (b *insertBackend) Ingest(ups []feww.Update) error {
 	return err
 }
 
-func (b *insertBackend) Best(fresh bool) BestAnswer {
+func (b *flatBackend) Best(fresh bool) BestAnswer {
 	var (
 		nb feww.Neighbourhood
 		ok bool
@@ -182,15 +206,29 @@ func (b *insertBackend) Best(fresh bool) BestAnswer {
 	return BestAnswer{Neighbourhood: nb, Found: ok, WitnessTarget: b.e.WitnessTarget(), Rung: -1}
 }
 
-func (b *insertBackend) Results(fresh bool) ResultsAnswer {
+func (b *flatBackend) Results(fresh bool) ResultsAnswer {
 	if fresh {
 		return ResultsAnswer{Neighbourhoods: b.e.ResultsFresh(), Rung: -1}
 	}
 	return ResultsAnswer{Neighbourhoods: b.e.Results(), Rung: -1}
 }
 
-func (b *insertBackend) Processed() int64         { return b.e.EdgesProcessed() }
-func (b *insertBackend) Universe() (int64, int64) { return b.e.Config().N, 0 }
+func (b *flatBackend) Processed() int64         { return b.e.EdgesProcessed() }
+func (b *flatBackend) Universe() (int64, int64) { return b.n, 0 }
+
+// windowBackend is the window kind: the flat adapter plus Window,
+// WindowBuckets and WindowSpan, which surface the window geometry and
+// position for the health probe and /stats (the windowProbe interface);
+// cluster members must agree on the geometry for member windows to
+// compose into one coherent global window.
+type windowBackend struct {
+	*flatBackend
+	w *feww.WindowEngine
+}
+
+func (b windowBackend) Window() int64              { return b.w.Window() }
+func (b windowBackend) WindowBuckets() int64       { return b.w.Buckets() }
+func (b windowBackend) WindowSpan() (int64, int64) { return b.w.WindowSpan() }
 
 type turnstileBackend struct {
 	commonBackend
@@ -241,7 +279,7 @@ func (b *starBackend) Kind() string { return "star" }
 // Ingest feeds directed half-edges: the stream carries the double cover
 // (both orientations of every undirected edge), so a cluster gateway can
 // range-route it by center like any other stream.  Deletions are
-// rejected here, as for the insert-only engine.
+// rejected here, as for the flat kinds.
 func (b *starBackend) Ingest(ups []feww.Update) error {
 	edges, err := insertEdges(ups, "star engine")
 	if err != nil {
@@ -291,59 +329,8 @@ func (b *starBackend) Universe() (int64, int64) { return b.e.Config().N, b.e.Con
 // must agree on it for their rung indices to merge.
 func (b *starBackend) Rungs() int { return len(b.e.Guesses()) }
 
-type windowBackend struct {
-	commonBackend
-	e *feww.WindowEngine
-}
-
-func (b *windowBackend) Kind() string { return "window" }
-
-// Ingest feeds the window engine like the insert-only one: deletions are
-// rejected here (a sliding window forgets by aging out, not by explicit
-// removal), and the engine's own boundary check guards the universe.
-func (b *windowBackend) Ingest(ups []feww.Update) error {
-	edges, err := insertEdges(ups, "sliding-window engine")
-	if err != nil {
-		return err
-	}
-	err = b.e.ProcessEdges(*edges)
-	putEdgeBuf(edges)
-	return err
-}
-
-func (b *windowBackend) Best(fresh bool) BestAnswer {
-	var (
-		nb feww.Neighbourhood
-		ok bool
-	)
-	if fresh {
-		nb, ok = b.e.BestFresh()
-	} else {
-		nb, ok = b.e.Best()
-	}
-	return BestAnswer{Neighbourhood: nb, Found: ok, WitnessTarget: b.e.WitnessTarget(), Rung: -1}
-}
-
-func (b *windowBackend) Results(fresh bool) ResultsAnswer {
-	if fresh {
-		return ResultsAnswer{Neighbourhoods: b.e.ResultsFresh(), Rung: -1}
-	}
-	return ResultsAnswer{Neighbourhoods: b.e.Results(), Rung: -1}
-}
-
-func (b *windowBackend) Processed() int64         { return b.e.EdgesProcessed() }
-func (b *windowBackend) Universe() (int64, int64) { return b.e.Config().N, 0 }
-
-// Window, WindowBuckets and WindowSpan surface the window geometry and
-// position for the health probe and /stats (the windowProbe interface);
-// cluster members must agree on the geometry for member windows to
-// compose into one coherent global window.
-func (b *windowBackend) Window() int64              { return b.e.Window() }
-func (b *windowBackend) WindowBuckets() int64       { return b.e.Buckets() }
-func (b *windowBackend) WindowSpan() (int64, int64) { return b.e.WindowSpan() }
-
-// edgeBufPool recycles the []Edge conversion buffers of the insert-only
-// and star ingest paths (mirroring the *[]E batch recycling inside the
+// edgeBufPool recycles the []Edge conversion buffers of the flat and
+// star ingest paths (mirroring the *[]E batch recycling inside the
 // engine fanout), so a sustained ingest stream stops allocating a batch-
 // sized slice per request chunk.  The engines copy batches into their own
 // per-shard buffers before ProcessEdges/ProcessHalfEdges returns, which

@@ -53,7 +53,7 @@ const (
 // serialisation finishes.  Restoring with RestoreEngine and feeding the
 // same stream suffix reproduces the uninterrupted run exactly.
 func (e *Engine) Snapshot(w io.Writer) error {
-	return e.rt.snapshot(w, engineKindInsertOnly, []uint64{
+	return e.snapshot(w, engineKindInsertOnly, []uint64{
 		uint64(e.cfg.N),
 		uint64(e.cfg.D),
 		uint64(e.cfg.Alpha),
@@ -65,24 +65,12 @@ func (e *Engine) Snapshot(w io.Writer) error {
 	})
 }
 
-// SnapshotSize returns the exact byte length Snapshot would write, under
-// the same quiesce Snapshot itself takes.
-func (e *Engine) SnapshotSize() int {
-	_, size := e.UsageFresh()
-	return size
-}
-
-// UsageFresh reports SpaceWords and SnapshotSize together under a single
-// quiesce — exact at the barrier, at the cost of stalling ingest once.
-// Periodic stats polls should prefer the barrier-free Usage.
-func (e *Engine) UsageFresh() (spaceWords, snapshotBytes int) { return e.rt.usage(true) }
-
 // RestoreEngine reads a snapshot written by (*Engine).Snapshot and returns
 // a running engine that continues exactly where the snapshotted one
 // stopped, including its shard partitioning and batch/queue tuning.  It
 // fails with ErrBadSnapshot if the bytes hold another engine kind's
-// snapshot (use RestoreTurnstileEngine / RestoreStarEngine) or are
-// corrupt.
+// snapshot (use RestoreTurnstileEngine / RestoreStarEngine /
+// RestoreWindowEngine) or are corrupt.
 func RestoreEngine(r io.Reader) (*Engine, error) {
 	br := bufio.NewReader(r)
 	kind, err := readEngineSnapKind(br)
@@ -129,14 +117,14 @@ func RestoreEngine(r io.Reader) (*Engine, error) {
 		}
 	}
 	eng := newEngineFromInners(cfg, inners)
-	eng.rt.f.restoreCount(count)
+	eng.f.restoreCount(count)
 	return eng, nil
 }
 
 // Snapshot writes the turnstile engine's complete state to w; the same
 // quiescing and exactness guarantees as (*Engine).Snapshot apply.
 func (e *TurnstileEngine) Snapshot(w io.Writer) error {
-	return e.rt.snapshot(w, engineKindTurnstile, []uint64{
+	return e.snapshot(w, engineKindTurnstile, []uint64{
 		uint64(e.cfg.N),
 		uint64(e.cfg.M),
 		uint64(e.cfg.D),
@@ -149,17 +137,6 @@ func (e *TurnstileEngine) Snapshot(w io.Writer) error {
 		uint64(e.cfg.QueueDepth),
 	})
 }
-
-// SnapshotSize returns the exact byte length Snapshot would write, under
-// the same quiesce Snapshot itself takes.
-func (e *TurnstileEngine) SnapshotSize() int {
-	_, size := e.UsageFresh()
-	return size
-}
-
-// UsageFresh reports SpaceWords and SnapshotSize together under a single
-// quiesce; see (*Engine).UsageFresh.
-func (e *TurnstileEngine) UsageFresh() (spaceWords, snapshotBytes int) { return e.rt.usage(true) }
 
 // RestoreTurnstileEngine reads a snapshot written by
 // (*TurnstileEngine).Snapshot and returns a running engine that continues
@@ -208,7 +185,7 @@ func RestoreTurnstileEngine(r io.Reader) (*TurnstileEngine, error) {
 		}
 	}
 	eng := newTurnstileFromInners(cfg, inners)
-	eng.rt.f.restoreCount(count)
+	eng.f.restoreCount(count)
 	return eng, nil
 }
 

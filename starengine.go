@@ -1,4 +1,4 @@
-// StarEngine is the third façade over the generic sharded runtime
+// StarEngine is a façade over the generic sharded runtime
 // (runtime.go): Star Detection (paper Problem 2, Lemma 3.3) served at
 // sharded-engine speed.  Where the single-threaded StarDetector in
 // star.go runs one guess ladder over the whole graph, StarEngine
@@ -138,7 +138,7 @@ type StarResults struct {
 type StarEngine struct {
 	cfg     StarEngineConfig
 	guesses []int64
-	rt      *engineRuntime[Edge]
+	*engineRuntime[Edge]
 }
 
 // NewStarEngine constructs a sharded star engine and starts its shard
@@ -175,15 +175,12 @@ func newStarFromShards(cfg StarEngineConfig, guesses []int64, shards []*core.Sta
 	return &StarEngine{
 		cfg:     cfg,
 		guesses: guesses,
-		rt: newRuntime("StarEngine", cfg.BatchSize, cfg.QueueDepth, starSnapHeaderBytes,
+		engineRuntime: newRuntime("StarEngine", cfg.BatchSize, cfg.QueueDepth, starSnapHeaderBytes,
 			func(e Edge) int64 { return e.A },
 			func(e *Edge, a int64) { e.A = a },
 			algos),
 	}
 }
-
-// Shards returns the number of partitions in use.
-func (e *StarEngine) Shards() int { return len(e.rt.shards) }
 
 // Config returns the resolved configuration the engine runs with; it is
 // also the configuration a snapshot persists.
@@ -214,7 +211,7 @@ func (e *StarEngine) ProcessHalfEdge(a, b int64) error {
 	if err := e.checkHalfEdge(0, 1, a, b); err != nil {
 		return err
 	}
-	return e.rt.f.add(Edge{A: a, B: b})
+	return e.f.add(Edge{A: a, B: b})
 }
 
 // ProcessHalfEdges feeds a batch of directed half-edges in order.  The
@@ -226,7 +223,7 @@ func (e *StarEngine) ProcessHalfEdges(edges []Edge) error {
 			return err
 		}
 	}
-	return e.rt.f.addBatch(edges)
+	return e.f.addBatch(edges)
 }
 
 // ProcessEdge feeds one undirected edge {u, v} by feeding both
@@ -241,23 +238,8 @@ func (e *StarEngine) ProcessEdge(u, v int64) error {
 	if err := e.checkHalfEdge(1, 2, v, u); err != nil {
 		return err
 	}
-	return e.rt.f.addBatch([]Edge{{A: u, B: v}, {A: v, B: u}})
+	return e.f.addBatch([]Edge{{A: u, B: v}, {A: v, B: u}})
 }
-
-// Flush hands every buffered half-edge to its shard queue without
-// waiting; see (*Engine).Flush.
-func (e *StarEngine) Flush() error { return e.rt.f.flush() }
-
-// Drain flushes and blocks until every shard has applied everything
-// queued so far; afterwards published and fresh queries coincide.
-func (e *StarEngine) Drain() error { return e.rt.f.drain() }
-
-// Close flushes, waits for the shards to drain, and stops them.  The
-// engine stays queryable; feeding returns ErrClosed.  Idempotent.
-func (e *StarEngine) Close() { e.rt.f.close() }
-
-// Closed reports whether Close has run; see (*Engine).Closed.
-func (e *StarEngine) Closed() bool { return e.rt.f.isClosed() }
 
 // starBetter reports whether (rung, size, vertex) beats the current best
 // under the star merge order: higher rung first, then larger
@@ -279,7 +261,7 @@ func starBetter(rung int, nb Neighbourhood, bestRung int, best Neighbourhood) bo
 func (e *StarEngine) best(fresh bool) (StarResult, bool) {
 	var out StarResult
 	found := false
-	e.rt.forEachView(fresh, shardAlgo[Edge].QueryBest, func(sh *rtShard[Edge], v *core.View) {
+	e.forEachView(fresh, shardAlgo[Edge].QueryBest, func(sh *rtShard[Edge], v *core.View) {
 		if !v.BestOK {
 			return
 		}
@@ -312,7 +294,7 @@ func (e *StarEngine) resultsAt(fresh bool) StarResults {
 		v  core.View
 	}
 	var winners []shardView
-	e.rt.forEachView(fresh, shardAlgo[Edge].QueryResults, func(sh *rtShard[Edge], v *core.View) {
+	e.forEachView(fresh, shardAlgo[Edge].QueryResults, func(sh *rtShard[Edge], v *core.View) {
 		if v.Rung < 0 {
 			return
 		}
@@ -345,44 +327,15 @@ func (e *StarEngine) Results() StarResults { return e.resultsAt(false) }
 // ResultsFresh is Results under the strict barrier.
 func (e *StarEngine) ResultsFresh() StarResults { return e.resultsAt(true) }
 
-// WitnessTarget returns the topmost rung's target — the static ceiling
-// ceil(maxGuess/Alpha) on any answer's certified size, identical on
-// every member of a cluster over the same graph (the coherence value the
-// health probe reports).  The target actually certified by an answer is
-// its StarResult.Target.
-func (e *StarEngine) WitnessTarget() int64 { return e.rt.witnessTarget() }
-
 // EdgesProcessed returns the number of directed half-edges fed to the
 // engine (two per undirected input edge).
-func (e *StarEngine) EdgesProcessed() int64 { return e.rt.f.count.Load() }
-
-// QueueDepths samples the number of elements buffered per shard (queued
-// batches plus the fill buffer); see (*Engine).QueueDepths.
-func (e *StarEngine) QueueDepths() []int { return e.rt.f.queueDepths() }
-
-// ViewEpochs reports each shard's published epoch number; see
-// (*Engine).ViewEpochs.
-func (e *StarEngine) ViewEpochs() []uint64 { return e.rt.viewEpochs() }
-
-// SpaceWords reports the state size summed over the latest published
-// epochs — every rung of every shard; barrier-free.
-func (e *StarEngine) SpaceWords() int { return e.rt.spaceWords(false) }
-
-// SpaceWordsFresh is SpaceWords under the strict barrier.
-func (e *StarEngine) SpaceWordsFresh() int { return e.rt.spaceWords(true) }
-
-// Usage reports SpaceWords and SnapshotSize from the latest published
-// epochs; see (*Engine).Usage.
-func (e *StarEngine) Usage() (spaceWords, snapshotBytes int) { return e.rt.usage(false) }
-
-// UsageFresh reports both under a single quiesce; see (*Engine).UsageFresh.
-func (e *StarEngine) UsageFresh() (spaceWords, snapshotBytes int) { return e.rt.usage(true) }
+func (e *StarEngine) EdgesProcessed() int64 { return e.f.count.Load() }
 
 // Snapshot writes the engine's complete state in the FEWWENG1 container
 // (kind byte 2); the same quiescing and exactness guarantees as
 // (*Engine).Snapshot apply.
 func (e *StarEngine) Snapshot(w io.Writer) error {
-	return e.rt.snapshot(w, engineKindStar, []uint64{
+	return e.snapshot(w, engineKindStar, []uint64{
 		uint64(e.cfg.N),
 		uint64(e.cfg.M),
 		uint64(e.cfg.Alpha),
@@ -393,13 +346,6 @@ func (e *StarEngine) Snapshot(w io.Writer) error {
 		uint64(e.cfg.BatchSize),
 		uint64(e.cfg.QueueDepth),
 	})
-}
-
-// SnapshotSize returns the exact byte length Snapshot would write, under
-// the same quiesce Snapshot itself takes.
-func (e *StarEngine) SnapshotSize() int {
-	_, size := e.UsageFresh()
-	return size
 }
 
 // RestoreStarEngine reads a snapshot written by (*StarEngine).Snapshot
@@ -455,6 +401,6 @@ func RestoreStarEngine(r io.Reader) (*StarEngine, error) {
 		}
 	}
 	eng := newStarFromShards(cfg, guesses, shards)
-	eng.rt.f.restoreCount(count)
+	eng.f.restoreCount(count)
 	return eng, nil
 }

@@ -100,7 +100,7 @@ func (cfg *WindowEngineConfig) shardConfig(i int, p int64, seed uint64) core.Win
 type WindowEngine struct {
 	cfg   WindowEngineConfig
 	clock atomic.Int64 // accepted updates; the shards' shared age source
-	rt    *engineRuntime[core.WindowUpdate]
+	*engineRuntime[core.WindowUpdate]
 }
 
 // NewWindowEngine constructs a sharded window engine and starts its
@@ -136,7 +136,7 @@ func (e *WindowEngine) start(shards []*core.WindowShard) {
 	for i, ws := range shards {
 		algos[i] = windowAlgo{ws}
 	}
-	e.rt = newRuntime("WindowEngine", e.cfg.BatchSize, e.cfg.QueueDepth, windowSnapHeaderBytes,
+	e.engineRuntime = newRuntime("WindowEngine", e.cfg.BatchSize, e.cfg.QueueDepth, windowSnapHeaderBytes,
 		func(u core.WindowUpdate) int64 { return u.A },
 		func(u *core.WindowUpdate, a int64) { u.A = a },
 		algos)
@@ -149,7 +149,7 @@ func (e *WindowEngine) start(shards []*core.WindowShard) {
 	// race lock-free, so the advance is a CAS-max: a producer whose range
 	// linearised earlier must never drag the clock backwards just because
 	// it reached the hook later.
-	e.rt.f.reserve = func(base, n int64) {
+	e.f.reserve = func(base, n int64) {
 		for {
 			cur := e.clock.Load()
 			if base+n <= cur || e.clock.CompareAndSwap(cur, base+n) {
@@ -157,16 +157,13 @@ func (e *WindowEngine) start(shards []*core.WindowShard) {
 			}
 		}
 	}
-	e.rt.f.stamp = func(u *core.WindowUpdate, pos int64) {
+	e.f.stamp = func(u *core.WindowUpdate, pos int64) {
 		u.Pos = pos
 	}
 	// Idle shards must republish at barriers: their liveness horizon moves
 	// with the global clock even when no local traffic arrives.
-	e.rt.f.publishOnAck = true
+	e.f.publishOnAck = true
 }
-
-// Shards returns the number of partitions in use.
-func (e *WindowEngine) Shards() int { return len(e.rt.shards) }
 
 // Config returns the resolved configuration the engine runs with; it is
 // also the configuration a snapshot persists.
@@ -187,27 +184,14 @@ func (e *WindowEngine) WindowSpan() (start, end int64) {
 	return core.WindowStart(end, e.cfg.Window, e.cfg.Buckets), end
 }
 
-// checkEdge validates an edge against the engine's universe: the item in
-// [0, N), the witness non-negative (the witness space is unbounded, as
-// for the insertion-only Engine).
-func (e *WindowEngine) checkEdge(i, total int, a, b int64) error {
-	if a < 0 || a >= e.cfg.N {
-		return fmt.Errorf("%w: edge %d of %d: item %d not in [0, %d)", ErrOutOfUniverse, i, total, a, e.cfg.N)
-	}
-	if b < 0 {
-		return fmt.Errorf("%w: edge %d of %d: witness %d negative", ErrOutOfUniverse, i, total, b)
-	}
-	return nil
-}
-
 // ProcessEdge feeds one inserted edge (a, b).  The update occupies one
 // window position; what it displaces is whatever bucket falls out of the
 // window as the stream advances.  Errors as (*Engine).ProcessEdge.
 func (e *WindowEngine) ProcessEdge(a, b int64) error {
-	if err := e.checkEdge(0, 1, a, b); err != nil {
+	if err := checkEdge(e.cfg.N, 0, 1, a, b); err != nil {
 		return err
 	}
-	return e.rt.f.add(core.WindowUpdate{Edge: stream.Edge{A: a, B: b}})
+	return e.f.add(core.WindowUpdate{Edge: stream.Edge{A: a, B: b}})
 }
 
 // windowBufPool recycles the []core.WindowUpdate conversion buffers of
@@ -222,7 +206,7 @@ var windowBufPool sync.Pool
 // the caller keeps ownership.
 func (e *WindowEngine) ProcessEdges(edges []Edge) error {
 	for i, ed := range edges {
-		if err := e.checkEdge(i, len(edges), ed.A, ed.B); err != nil {
+		if err := checkEdge(e.cfg.N, i, len(edges), ed.A, ed.B); err != nil {
 			return err
 		}
 	}
@@ -236,80 +220,39 @@ func (e *WindowEngine) ProcessEdges(edges []Edge) error {
 	for _, ed := range edges {
 		ups = append(ups, core.WindowUpdate{Edge: ed})
 	}
-	err := e.rt.f.addBatch(ups)
+	err := e.f.addBatch(ups)
 	*buf = ups[:0]
 	windowBufPool.Put(buf)
 	return err
 }
 
-// Flush hands every buffered update to its shard queue without waiting;
-// see (*Engine).Flush.
-func (e *WindowEngine) Flush() error { return e.rt.f.flush() }
-
-// Drain flushes and blocks until every shard has applied everything
-// queued so far; afterwards published and fresh queries coincide — the
-// barrier republication covers idle shards too.
-func (e *WindowEngine) Drain() error { return e.rt.f.drain() }
-
-// Close flushes, waits for the shards to drain, and stops them.  The
-// engine stays queryable; feeding returns ErrClosed.  Idempotent.
-func (e *WindowEngine) Close() { e.rt.f.close() }
-
-// Closed reports whether Close has run; see (*Engine).Closed.
-func (e *WindowEngine) Closed() bool { return e.rt.f.isClosed() }
-
 // Result returns the first in-window full-target neighbourhood in shard
 // order, or ErrNoWitness; see (*Engine).Result for the consistency
 // contract.
-func (e *WindowEngine) Result() (Neighbourhood, error) { return e.rt.result(false) }
+func (e *WindowEngine) Result() (Neighbourhood, error) { return e.result(false) }
 
 // ResultFresh is Result under the strict barrier.
-func (e *WindowEngine) ResultFresh() (Neighbourhood, error) { return e.rt.result(true) }
+func (e *WindowEngine) ResultFresh() (Neighbourhood, error) { return e.result(true) }
 
 // Results returns every item holding a full ceil(D/Alpha)-witness
 // in-window neighbourhood, sorted by item id, from the latest published
 // epochs.  Witnesses are never older than Window updates.
-func (e *WindowEngine) Results() []Neighbourhood { return e.rt.results(false) }
+func (e *WindowEngine) Results() []Neighbourhood { return e.results(false) }
 
 // ResultsFresh is Results under the strict barrier.
-func (e *WindowEngine) ResultsFresh() []Neighbourhood { return e.rt.results(true) }
+func (e *WindowEngine) ResultsFresh() []Neighbourhood { return e.results(true) }
 
 // Best returns the largest in-window neighbourhood collected so far,
 // possibly below the witness target; found is false only if nothing
 // in-window is held at all.
-func (e *WindowEngine) Best() (Neighbourhood, bool) { return e.rt.best(false) }
+func (e *WindowEngine) Best() (Neighbourhood, bool) { return e.best(false) }
 
 // BestFresh is Best under the strict barrier.
-func (e *WindowEngine) BestFresh() (Neighbourhood, bool) { return e.rt.best(true) }
-
-// WitnessTarget returns ceil(D/Alpha), identical on every shard.
-func (e *WindowEngine) WitnessTarget() int64 { return e.rt.witnessTarget() }
+func (e *WindowEngine) BestFresh() (Neighbourhood, bool) { return e.best(true) }
 
 // EdgesProcessed returns the number of updates accepted over the
 // engine's lifetime — the window's end position.
-func (e *WindowEngine) EdgesProcessed() int64 { return e.rt.f.count.Load() }
-
-// QueueDepths samples the number of elements buffered per shard (queued
-// batches plus the fill buffer); see (*Engine).QueueDepths.
-func (e *WindowEngine) QueueDepths() []int { return e.rt.f.queueDepths() }
-
-// ViewEpochs reports each shard's published epoch number; see
-// (*Engine).ViewEpochs.
-func (e *WindowEngine) ViewEpochs() []uint64 { return e.rt.viewEpochs() }
-
-// SpaceWords reports the state size summed over the latest published
-// epochs — every retained suffix instance of every shard.
-func (e *WindowEngine) SpaceWords() int { return e.rt.spaceWords(false) }
-
-// SpaceWordsFresh is SpaceWords under the strict barrier.
-func (e *WindowEngine) SpaceWordsFresh() int { return e.rt.spaceWords(true) }
-
-// Usage reports SpaceWords and SnapshotSize from the latest published
-// epochs; see (*Engine).Usage.
-func (e *WindowEngine) Usage() (spaceWords, snapshotBytes int) { return e.rt.usage(false) }
-
-// UsageFresh reports both under a single quiesce; see (*Engine).UsageFresh.
-func (e *WindowEngine) UsageFresh() (spaceWords, snapshotBytes int) { return e.rt.usage(true) }
+func (e *WindowEngine) EdgesProcessed() int64 { return e.f.count.Load() }
 
 // Snapshot writes the engine's complete state in the FEWWENG1 container
 // (kind byte 3); the same quiescing and exactness guarantees as
@@ -318,7 +261,7 @@ func (e *WindowEngine) UsageFresh() (spaceWords, snapshotBytes int) { return e.r
 // accepted count: each shard serialises its live suffix instances with
 // their boundary labels, and restore re-derives everything else.
 func (e *WindowEngine) Snapshot(w io.Writer) error {
-	return e.rt.snapshot(w, engineKindWindow, []uint64{
+	return e.snapshot(w, engineKindWindow, []uint64{
 		uint64(e.cfg.N),
 		uint64(e.cfg.D),
 		uint64(e.cfg.Alpha),
@@ -330,13 +273,6 @@ func (e *WindowEngine) Snapshot(w io.Writer) error {
 		uint64(e.cfg.BatchSize),
 		uint64(e.cfg.QueueDepth),
 	})
-}
-
-// SnapshotSize returns the exact byte length Snapshot would write, under
-// the same quiesce Snapshot itself takes.
-func (e *WindowEngine) SnapshotSize() int {
-	_, size := e.UsageFresh()
-	return size
 }
 
 // RestoreWindowEngine reads a snapshot written by (*WindowEngine).Snapshot
@@ -399,6 +335,6 @@ func RestoreWindowEngine(r io.Reader) (*WindowEngine, error) {
 		}
 	}
 	eng.start(shards)
-	eng.rt.f.restoreCount(count)
+	eng.f.restoreCount(count)
 	return eng, nil
 }

@@ -428,9 +428,9 @@ func TestWindowEngineConcurrentProducersStamping(t *testing.T) {
 	var (
 		mu      sync.Mutex
 		posEdge = make(map[int64]Edge, total)
-		stamped = eng.rt.f.stamp
+		stamped = eng.f.stamp
 	)
-	eng.rt.f.stamp = func(u *core.WindowUpdate, pos int64) {
+	eng.f.stamp = func(u *core.WindowUpdate, pos int64) {
 		stamped(u, pos)
 		mu.Lock()
 		if prev, dup := posEdge[pos]; dup {
