@@ -300,3 +300,19 @@ func TestTurnstileEngineValidatesUniverse(t *testing.T) {
 		t.Errorf("ProcessUpdates after Close = %v, want ErrClosed", err)
 	}
 }
+
+// TestTurnstileEngineRejectsEdgeUniverseOverflow: each shard's edge keys
+// a*M + b must fit the field F_p, p = 2^61-1.  An N x M universe past that
+// is a configuration error, not a panic inside the sampler constructor.
+func TestTurnstileEngineRejectsEdgeUniverseOverflow(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		eng, err := NewTurnstileEngine(TurnstileEngineConfig{
+			TurnstileConfig: TurnstileConfig{N: 1 << 32, M: 1 << 32, D: 1, Alpha: 1, Seed: 1, ScaleFactor: 1e-12},
+			Shards:          shards,
+		})
+		if err == nil {
+			eng.Close()
+			t.Fatalf("%d shards: N = M = 2^32 accepted", shards)
+		}
+	}
+}

@@ -163,7 +163,8 @@ func NewInsertDelete(cfg TurnstileConfig) (*InsertDelete, error) {
 	return &InsertDelete{inner: inner}, nil
 }
 
-// Insert feeds the insertion of edge (a, b).
+// Insert feeds the insertion of edge (a, b).  It panics on an edge outside
+// [0, N) x [0, M).
 func (id *InsertDelete) Insert(a, b int64) { id.inner.Update(a, b, 1) }
 
 // Delete feeds the deletion of edge (a, b); the edge must currently exist
@@ -171,7 +172,8 @@ func (id *InsertDelete) Insert(a, b int64) { id.inner.Update(a, b, 1) }
 func (id *InsertDelete) Delete(a, b int64) { id.inner.Update(a, b, -1) }
 
 // ProcessUpdates feeds a batch of signed updates in order; it is equivalent
-// to calling Insert/Delete per element.
+// to calling Insert/Delete per element.  Like them it panics on an edge
+// outside [0, N) x [0, M), and it does so before applying any of the batch.
 func (id *InsertDelete) ProcessUpdates(ups []Update) { id.inner.ApplyUpdates(ups) }
 
 // Result returns a frequent item of the final graph with at least

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"feww/internal/hashing"
 	"feww/internal/l0"
 	"feww/internal/stream"
 	"feww/internal/xrand"
@@ -38,6 +41,12 @@ type InsertDeleteConfig struct {
 func (c *InsertDeleteConfig) validate() error {
 	if c.N < 1 || c.M < 1 {
 		return fmt.Errorf("core: InsertDelete config: N = %d, M = %d, want >= 1", c.N, c.M)
+	}
+	// Edge keys a*M + b live in F_p with p = 2^61 - 1: a larger universe
+	// would wrap the uint64 key (N*M = 2^64 wraps to an empty universe)
+	// or alias distinct edges modulo p.
+	if uint64(c.N) > hashing.MersennePrime61/uint64(c.M) {
+		return fmt.Errorf("core: InsertDelete config: N*M = %d*%d exceeds the edge universe bound 2^61-1", c.N, c.M)
 	}
 	if c.D < 1 {
 		return fmt.Errorf("core: InsertDelete config: D = %d, want >= 1", c.D)
@@ -138,6 +147,10 @@ type InsertDelete struct {
 	vertexSamplers map[int64][]*l0.Sampler // sampled A-vertex -> its samplers
 	edgeSamplers   []*l0.Sampler
 	updates        int64
+
+	// byVertex is ApplyUpdates' scratch: the batch positions of updates
+	// whose A-vertex is sampled, grouped by vertex.  It is not state.
+	byVertex []int
 }
 
 // NewInsertDelete constructs the algorithm, allocating all samplers up
@@ -184,39 +197,98 @@ func NewInsertDelete(cfg InsertDeleteConfig) (*InsertDelete, error) {
 	return algo, nil
 }
 
-// Update feeds one stream update: delta = +1 for an insertion of edge
-// (a, b), delta = -1 for a deletion.
-func (id *InsertDelete) Update(a, b int64, delta int) {
+// checkUpdate reports why (a, b, delta) is not a valid update: delta must
+// be +1 or -1 and the edge must lie in [0, N) x [0, M).
+func (id *InsertDelete) checkUpdate(a, b int64, delta int) error {
 	if delta != 1 && delta != -1 {
-		panic("core: InsertDelete.Update with delta not in {-1, +1}")
+		return fmt.Errorf("core: InsertDelete update with delta %d not in {-1, +1}", delta)
 	}
-	id.updates++
-	if batt, ok := id.vertexSamplers[a]; ok {
-		for _, s := range batt {
-			s.Update(uint64(b), int64(delta))
+	if a < 0 || a >= id.cfg.N || b < 0 || b >= id.cfg.M {
+		return fmt.Errorf("core: InsertDelete update (%d, %d) outside [0, %d) x [0, %d)", a, b, id.cfg.N, id.cfg.M)
+	}
+	return nil
+}
+
+// edgeKey maps edge (a, b) to its coordinate in the edge samplers'
+// universe [0, N*M).
+func (id *InsertDelete) edgeKey(a, b int64) uint64 {
+	return uint64(a)*uint64(id.cfg.M) + uint64(b)
+}
+
+// Update feeds one stream update: delta = +1 for an insertion of edge
+// (a, b), delta = -1 for a deletion.  It panics on an invalid update;
+// ProcessUpdate is the error-returning form.
+func (id *InsertDelete) Update(a, b int64, delta int) {
+	if err := id.ProcessUpdate(a, b, delta); err != nil {
+		panic(err.Error())
+	}
+}
+
+// ApplyUpdates feeds a batch of stream updates in order; the batched form
+// is the turnstile engine's shard hand-off unit.  It validates the whole
+// batch first and panics, having changed nothing, on an invalid update.
+//
+// The loops run sampler-major: each sampler takes every update of the
+// batch that reaches it before the next sampler is touched, so a
+// sampler's cells are fetched into cache once per batch instead of once
+// per update.  The result is exactly that of calling Update once per
+// element: every sampler is an independent linear sketch, and each still
+// sees its own updates in stream order.
+func (id *InsertDelete) ApplyUpdates(ups []stream.Update) {
+	for _, u := range ups {
+		if err := id.checkUpdate(u.A, u.B, int(u.Op)); err != nil {
+			panic(err.Error())
 		}
 	}
-	key := uint64(a)*uint64(id.cfg.M) + uint64(b)
+	id.updates += int64(len(ups))
+
+	// Vertex batteries: group the positions of updates to sampled vertices
+	// by vertex (stably, so stream order holds within a group), then run
+	// each battery over its vertex's group.
+	pos := id.byVertex[:0]
+	for i, u := range ups {
+		if _, ok := id.vertexSamplers[u.A]; ok {
+			pos = append(pos, i)
+		}
+	}
+	slices.SortStableFunc(pos, func(i, j int) int { return cmp.Compare(ups[i].A, ups[j].A) })
+	id.byVertex = pos
+	for lo := 0; lo < len(pos); {
+		a := ups[pos[lo]].A
+		hi := lo + 1
+		for hi < len(pos) && ups[pos[hi]].A == a {
+			hi++
+		}
+		for _, s := range id.vertexSamplers[a] {
+			for _, i := range pos[lo:hi] {
+				s.Update(uint64(ups[i].B), int64(ups[i].Op))
+			}
+		}
+		lo = hi
+	}
+
+	for _, s := range id.edgeSamplers {
+		for _, u := range ups {
+			s.Update(id.edgeKey(u.A, u.B), int64(u.Op))
+		}
+	}
+}
+
+// ProcessUpdate feeds one stream update, or returns an error and changes
+// nothing if it is invalid.  It implements the Algorithm interface used
+// by StarDetector.
+func (id *InsertDelete) ProcessUpdate(a, b int64, delta int) error {
+	if err := id.checkUpdate(a, b, delta); err != nil {
+		return err
+	}
+	id.updates++
+	for _, s := range id.vertexSamplers[a] {
+		s.Update(uint64(b), int64(delta))
+	}
+	key := id.edgeKey(a, b)
 	for _, s := range id.edgeSamplers {
 		s.Update(key, int64(delta))
 	}
-}
-
-// ApplyUpdates feeds a batch of stream updates in order.  It is equivalent
-// to calling Update once per element; the batched form is the turnstile
-// engine's shard hand-off unit.
-func (id *InsertDelete) ApplyUpdates(ups []stream.Update) {
-	for _, u := range ups {
-		id.Update(u.A, u.B, int(u.Op))
-	}
-}
-
-// ProcessUpdate implements the Algorithm interface used by StarDetector.
-func (id *InsertDelete) ProcessUpdate(a, b int64, delta int) error {
-	if delta != 1 && delta != -1 {
-		return fmt.Errorf("core: InsertDelete.ProcessUpdate with delta %d", delta)
-	}
-	id.Update(a, b, delta)
 	return nil
 }
 

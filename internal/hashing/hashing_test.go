@@ -23,6 +23,22 @@ func TestMulMod61AgainstBigInt(t *testing.T) {
 	}
 }
 
+// TestMulMod61Extremes covers the operands where the one-subtraction
+// reduction is tightest: products near (p-1)^2 and sums landing on p.
+func TestMulMod61Extremes(t *testing.T) {
+	p := new(big.Int).SetUint64(MersennePrime61)
+	ops := []uint64{0, 1, 2, 3, 1 << 30, 1 << 60, MersennePrime61 / 2, MersennePrime61 - 2, MersennePrime61 - 1}
+	for _, a := range ops {
+		for _, b := range ops {
+			want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+			want.Mod(want, p)
+			if got := MulMod61(a, b); got != want.Uint64() {
+				t.Fatalf("MulMod61(%d, %d) = %d, want %d", a, b, got, want.Uint64())
+			}
+		}
+	}
+}
+
 func TestAddSubMod61(t *testing.T) {
 	f := func(a, b uint64) bool {
 		a %= MersennePrime61
@@ -194,4 +210,95 @@ func TestNewPolyPanics(t *testing.T) {
 		}
 	}()
 	NewPoly(rng, 0)
+}
+
+// TestPairwiseMatchesPoly2: NewPairwise draws what NewPoly(rng, 2) draws
+// and evaluates the same function, so swapping them changes nothing.
+func TestPairwiseMatchesPoly2(t *testing.T) {
+	a, b := xrand.New(21), xrand.New(21)
+	for i := 0; i < 50; i++ {
+		poly, pw := NewPoly(a, 2), NewPairwise(b)
+		for _, x := range []uint64{0, 1, 2, 12345, MersennePrime61 - 1, MersennePrime61, 1<<64 - 1} {
+			if poly.Hash(x) != pw.Hash(x) || poly.HashRange(x, 8) != pw.HashRange(x, 8) {
+				t.Fatalf("draw %d: Pairwise and Poly(2) disagree at x = %d", i, x)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("NewPairwise consumed a different number of draws than NewPoly(rng, 2)")
+	}
+}
+
+func TestPowMod61LanesMatchesPowMod61(t *testing.T) {
+	f := func(base [PowLanes]uint64, exp uint64) bool {
+		got := PowMod61Lanes(base, exp)
+		for k := range base {
+			if got[k] != PowMod61(base[k], exp) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	var base [PowLanes]uint64
+	base[0] = MersennePrime61 // reduced to 0, and 0^0 = 1
+	for k, got := range PowMod61Lanes(base, 0) {
+		if got != 1 {
+			t.Fatalf("lane %d: x^0 = %d, want 1", k, got)
+		}
+	}
+}
+
+var powSink uint64
+
+// BenchmarkPowMod61 and BenchmarkPowMod61Lanes raise PowLanes bases to one
+// 17-bit exponent, the index width of the turnstile edge samplers: one
+// PowMod61 call per base against one interleaved pass.
+func BenchmarkPowMod61(b *testing.B) {
+	rng := xrand.New(23)
+	var base [PowLanes]uint64
+	for k := range base {
+		base[k] = 1 + rng.Uint64n(MersennePrime61-1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exp := uint64(i) & (1<<17 - 1)
+		for _, x := range base {
+			powSink += PowMod61(x, exp)
+		}
+	}
+}
+
+func BenchmarkPowMod61Lanes(b *testing.B) {
+	rng := xrand.New(23)
+	var base [PowLanes]uint64
+	for k := range base {
+		base[k] = 1 + rng.Uint64n(MersennePrime61-1)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, x := range PowMod61Lanes(base, uint64(i)&(1<<17-1)) {
+			powSink += x
+		}
+	}
+}
+
+// TestFingerprintUpdatePow: UpdatePow with r^i is Update, and
+// MakeFingerprint draws NewFingerprint's point.
+func TestFingerprintUpdatePow(t *testing.T) {
+	a, b := xrand.New(22), xrand.New(22)
+	f, g := NewFingerprint(a), MakeFingerprint(b)
+	if f.Point() != g.Point() {
+		t.Fatal("MakeFingerprint drew a different point")
+	}
+	for i, delta := range []int64{1, -1, 5, -3, 1} {
+		idx := uint64(1000 + 37*i)
+		f.Update(idx, delta)
+		g.UpdatePow(PowMod61(g.Point(), idx), delta)
+	}
+	if f.Acc() != g.Acc() {
+		t.Fatalf("UpdatePow acc %d, Update acc %d", g.Acc(), f.Acc())
+	}
 }

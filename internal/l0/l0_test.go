@@ -260,3 +260,29 @@ func TestSpaceWordsPositive(t *testing.T) {
 		t.Fatal("OneSparse SpaceWords not positive")
 	}
 }
+
+// TestSamplerUpdateAllocs: an update writes the sampler's flat cell arrays
+// in place and allocates nothing.
+func TestSamplerUpdateAllocs(t *testing.T) {
+	s := NewSampler(xrand.New(14), 1<<17, DefaultParams)
+	idx := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Update(idx, 1)
+		idx = (idx + 7919) % (1 << 17)
+	})
+	if allocs != 0 {
+		t.Fatalf("Sampler.Update allocates %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkSamplerUpdate times one update of a default sampler over the
+// 2^17 edge universe of one perfbench turnstile shard.
+func BenchmarkSamplerUpdate(b *testing.B) {
+	s := NewSampler(xrand.New(15), 1<<17, DefaultParams)
+	idx := uint64(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Update(idx, 1)
+		idx = (idx + 7919) % (1 << 17)
+	}
+}

@@ -14,6 +14,29 @@
 //     coordinates whose pairwise-independent hash falls below 2^61/2^ℓ, and
 //     the query returns the minimum-hash coordinate of the deepest
 //     recoverable level.
+//
+// # Memory layout
+//
+// A sampler is a few large flat arrays, not a tree of small objects.  A
+// OneSparse holds its fingerprint by value, so a cell is four words and no
+// pointer.  An SSparse keeps its cells in one row-major []OneSparse and its
+// row hashes in one []hashing.Pairwise, and a Sampler keeps its levels in
+// one []SSparse whose cell and hash arrays are windows of one backing
+// array each.  A sampler over a 2^17 universe is thus about 15 KB in four
+// allocations, and the garbage collector has no per-cell pointers to
+// trace.  Updates allocate nothing.
+//
+// An update touches one cell per row at each level it reaches, and every
+// cell needs r^index for its own fingerprint point r.  SSparse.Update
+// computes those powers hashing.PowLanes rows at a time with
+// hashing.PowMod61Lanes, one square-and-multiply pass whose independent
+// chains overlap; a last group of fewer rows is padded.  Modular powers
+// are exact, so the state is the same as with one PowMod61 per cell.
+//
+// Two orders are fixed because the core turnstile snapshot format depends
+// on them: construction draws from the RNG level by level, row by row, a
+// row's cells before its hash, and Sampler.Cells visits cells
+// level-major, then row-major.
 package l0
 
 import (
@@ -27,19 +50,25 @@ import (
 type OneSparse struct {
 	count int64 // sum of deltas (ℓ in the literature)
 	sum   int64 // sum of delta * index — safe for index*|count| < 2^63
-	fp    *hashing.Fingerprint
+	fp    hashing.Fingerprint
 }
 
 // NewOneSparse returns an empty 1-sparse recoverer.
 func NewOneSparse(rng *xrand.RNG) *OneSparse {
-	return &OneSparse{fp: hashing.NewFingerprint(rng)}
+	return &OneSparse{fp: hashing.MakeFingerprint(rng)}
 }
 
 // Update applies x[index] += delta.
 func (o *OneSparse) Update(index uint64, delta int64) {
+	o.updatePow(index, delta, hashing.PowMod61(o.fp.Point(), index))
+}
+
+// updatePow is Update with pow = r^index mod p already computed, r being
+// the cell's fingerprint point.
+func (o *OneSparse) updatePow(index uint64, delta int64, pow uint64) {
 	o.count += delta
 	o.sum += delta * int64(index)
-	o.fp.Update(index, delta)
+	o.fp.UpdatePow(pow, delta)
 }
 
 // Recover attempts to decode the sketched vector as a single non-zero
@@ -67,9 +96,12 @@ func (o *OneSparse) Zero() bool {
 	return o.count == 0 && o.sum == 0 && o.fp.Zero()
 }
 
-// Clone returns an independent copy, used by the SSparse peeling decoder.
+// Clone returns an independent copy.  A OneSparse holds no pointers, so a
+// plain value copy is independent too; the SSparse peeling decoder copies
+// whole rows that way.
 func (o *OneSparse) Clone() *OneSparse {
-	return &OneSparse{count: o.count, sum: o.sum, fp: o.fp.Clone()}
+	cp := *o
+	return &cp
 }
 
 // State returns the cell's mutable state: the delta sum, the index-weighted

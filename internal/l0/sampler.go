@@ -18,10 +18,9 @@ import (
 // Params.
 type Sampler struct {
 	universe uint64
-	levels   int
-	level    []*SSparse
-	lvlHash  *hashing.Poly // pairwise-independent level assignment
-	minHash  *hashing.Poly // tie-break hash for uniform pick within a level
+	level    []SSparse
+	lvlHash  hashing.Pairwise // level assignment
+	minHash  hashing.Pairwise // tie-break hash for uniform pick within a level
 }
 
 // Params selects the internal dimensions of a Sampler.
@@ -46,13 +45,18 @@ func NewSampler(rng *xrand.RNG, universe uint64, p Params) *Sampler {
 	levels := bits.Len64(universe) + 1
 	s := &Sampler{
 		universe: universe,
-		levels:   levels,
-		level:    make([]*SSparse, levels),
-		lvlHash:  hashing.NewPoly(rng, 2),
-		minHash:  hashing.NewPoly(rng, 2),
+		level:    make([]SSparse, levels),
+		lvlHash:  hashing.NewPairwise(rng),
+		minHash:  hashing.NewPairwise(rng),
 	}
+	// Every level's cells and row hashes are windows of one array each.
+	perLevel := p.Rows * 2 * p.Sparsity
+	cells := make([]OneSparse, levels*perLevel)
+	hash := make([]hashing.Pairwise, levels*p.Rows)
 	for i := range s.level {
-		s.level[i] = NewSSparse(rng, p.Sparsity, p.Rows)
+		s.level[i].init(rng,
+			cells[i*perLevel:(i+1)*perLevel:(i+1)*perLevel],
+			hash[i*p.Rows:(i+1)*p.Rows:(i+1)*p.Rows])
 	}
 	return s
 }
@@ -66,7 +70,7 @@ func (s *Sampler) levelOf(index uint64) int {
 	// h < p/2^j.  Equivalent to the position of the highest set bit.
 	lvl := 0
 	threshold := hashing.MersennePrime61 / 2
-	for lvl < s.levels-1 && h < threshold {
+	for lvl < len(s.level)-1 && h < threshold {
 		lvl++
 		threshold /= 2
 	}
@@ -93,7 +97,10 @@ func (s *Sampler) Update(index uint64, delta int64) {
 // the minimum tie-break hash is returned — this is the standard recipe
 // making the output distribution (1 ± o(1))-uniform.
 func (s *Sampler) Sample() (index uint64, count int64, ok bool) {
-	for lvl := s.levels - 1; lvl >= 0; lvl-- {
+	for lvl := len(s.level) - 1; lvl >= 0; lvl-- {
+		if !s.level[lvl].decodable() {
+			continue
+		}
 		rec := s.level[lvl].Recover()
 		if len(rec) == 0 {
 			continue
@@ -122,23 +129,25 @@ func (s *Sampler) Sample() (index uint64, count int64, ok bool) {
 // this order, so the cell sequence of two samplers built from the same
 // RNG stream lines up exactly.
 func (s *Sampler) Cells(visit func(*OneSparse)) {
-	for _, lv := range s.level {
-		lv.Cells(visit)
+	for i := range s.level {
+		s.level[i].Cells(visit)
 	}
 }
 
 // NumCells returns how many 1-sparse cells Cells visits.
 func (s *Sampler) NumCells() int {
 	n := 0
-	s.Cells(func(*OneSparse) { n++ })
+	for i := range s.level {
+		n += len(s.level[i].cells)
+	}
 	return n
 }
 
 // SpaceWords reports the words of state held by the sampler.
 func (s *Sampler) SpaceWords() int {
 	words := s.lvlHash.SpaceWords() + s.minHash.SpaceWords()
-	for _, lv := range s.level {
-		words += lv.SpaceWords()
+	for i := range s.level {
+		words += s.level[i].SpaceWords()
 	}
 	return words
 }

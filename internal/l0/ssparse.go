@@ -11,10 +11,9 @@ import (
 // cell of some row, which for an s-sparse vector happens for every
 // coordinate with probability >= 1 - 2^-rows.
 type SSparse struct {
-	s     int
-	rows  int
-	cells [][]*OneSparse
-	hash  []*hashing.Poly
+	width int                // cells per row, 2s
+	cells []OneSparse        // row-major: row r is cells[r*width : (r+1)*width]
+	hash  []hashing.Pairwise // hash[r] picks row r's cell
 }
 
 // NewSSparse returns an s-sparse recoverer with the given number of rows.
@@ -23,26 +22,61 @@ func NewSSparse(rng *xrand.RNG, s, rows int) *SSparse {
 	if s < 1 || rows < 1 {
 		panic("l0: NewSSparse with s < 1 or rows < 1")
 	}
-	ss := &SSparse{s: s, rows: rows}
-	width := 2 * s
-	ss.cells = make([][]*OneSparse, rows)
-	ss.hash = make([]*hashing.Poly, rows)
-	for r := 0; r < rows; r++ {
-		ss.cells[r] = make([]*OneSparse, width)
-		for c := range ss.cells[r] {
-			ss.cells[r][c] = NewOneSparse(rng)
-		}
-		ss.hash[r] = hashing.NewPoly(rng, 2)
-	}
+	ss := &SSparse{}
+	ss.init(rng, make([]OneSparse, rows*2*s), make([]hashing.Pairwise, rows))
 	return ss
 }
 
-// Update applies x[index] += delta.
-func (ss *SSparse) Update(index uint64, delta int64) {
-	for r := 0; r < ss.rows; r++ {
-		c := ss.hash[r].HashRange(index, uint64(len(ss.cells[r])))
-		ss.cells[r][c].Update(index, delta)
+// init lays the recoverer over the given cell and hash arrays, whose
+// lengths fix rows and width, and draws every cell's fingerprint point and
+// every row hash: row by row, a row's cells before its hash.
+func (ss *SSparse) init(rng *xrand.RNG, cells []OneSparse, hash []hashing.Pairwise) {
+	ss.width = len(cells) / len(hash)
+	ss.cells, ss.hash = cells, hash
+	for r := range hash {
+		for c := r * ss.width; c < (r+1)*ss.width; c++ {
+			cells[c].fp = hashing.MakeFingerprint(rng)
+		}
+		hash[r] = hashing.NewPairwise(rng)
 	}
+}
+
+// cellOf returns the position in cells of the row-r cell that index hashes to.
+func (ss *SSparse) cellOf(r int, index uint64) int {
+	return r*ss.width + int(ss.hash[r].HashRange(index, uint64(ss.width)))
+}
+
+// Update applies x[index] += delta.  The touched cells' fingerprint powers
+// r^index are computed hashing.PowLanes rows at a time by one interleaved
+// pass; a last, shorter group leaves its spare lanes at base 0 and
+// discards their results.
+func (ss *SSparse) Update(index uint64, delta int64) {
+	const lanes = hashing.PowLanes
+	for r0 := 0; r0 < len(ss.hash); r0 += lanes {
+		n := min(lanes, len(ss.hash)-r0)
+		var at [lanes]int
+		var base [lanes]uint64
+		for k := 0; k < n; k++ {
+			at[k] = ss.cellOf(r0+k, index)
+			base[k] = ss.cells[at[k]].fp.Point()
+		}
+		pow := hashing.PowMod61Lanes(base, index)
+		for k := 0; k < n; k++ {
+			ss.cells[at[k]].updatePow(index, delta, pow[k])
+		}
+	}
+}
+
+// decodable reports whether any cell has a non-zero delta sum.  A cell
+// with count 0 never decodes, so Recover of a level where this is false
+// returns nothing; Sampler.Sample skips such levels without the copy.
+func (ss *SSparse) decodable() bool {
+	for i := range ss.cells {
+		if ss.cells[i].count != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Recover returns the set of recoverable non-zero coordinates with their
@@ -53,34 +87,26 @@ func (ss *SSparse) Update(index uint64, delta int64) {
 // recovered with high probability; spurious decodes are filtered by the
 // per-cell fingerprint, so returned entries are correct w.h.p.
 func (ss *SSparse) Recover() map[uint64]int64 {
-	scratch := make([][]*OneSparse, ss.rows)
-	for r := range scratch {
-		scratch[r] = make([]*OneSparse, len(ss.cells[r]))
-		for c, cell := range ss.cells[r] {
-			scratch[r][c] = cell.Clone()
-		}
-	}
+	scratch := make([]OneSparse, len(ss.cells))
+	copy(scratch, ss.cells)
 	out := make(map[uint64]int64)
 	for {
 		progressed := false
-		for r := 0; r < ss.rows; r++ {
-			for _, cell := range scratch[r] {
-				idx, cnt, ok := cell.Recover()
-				if !ok {
-					continue
-				}
-				if _, seen := out[idx]; seen {
-					continue // already peeled via another row
-				}
-				out[idx] = cnt
-				// Subtract the coordinate everywhere so collided cells can
-				// become singletons in later passes.
-				for r2 := 0; r2 < ss.rows; r2++ {
-					c2 := ss.hash[r2].HashRange(idx, uint64(len(scratch[r2])))
-					scratch[r2][c2].Update(idx, -cnt)
-				}
-				progressed = true
+		for i := range scratch {
+			idx, cnt, ok := scratch[i].Recover()
+			if !ok {
+				continue
 			}
+			if _, seen := out[idx]; seen {
+				continue // already peeled via another row
+			}
+			out[idx] = cnt
+			// Subtract the coordinate everywhere so collided cells can
+			// become singletons in later passes.
+			for r := range ss.hash {
+				scratch[ss.cellOf(r, idx)].Update(idx, -cnt)
+			}
+			progressed = true
 		}
 		if !progressed {
 			return out
@@ -91,21 +117,19 @@ func (ss *SSparse) Recover() map[uint64]int64 {
 // Cells visits every 1-sparse cell in row-major order — the fixed
 // iteration order the snapshot format relies on.
 func (ss *SSparse) Cells(visit func(*OneSparse)) {
-	for _, row := range ss.cells {
-		for _, cell := range row {
-			visit(cell)
-		}
+	for i := range ss.cells {
+		visit(&ss.cells[i])
 	}
 }
 
 // SpaceWords reports the words of state held by the recoverer.
 func (ss *SSparse) SpaceWords() int {
 	words := 0
-	for r := 0; r < ss.rows; r++ {
-		for _, cell := range ss.cells[r] {
-			words += cell.SpaceWords()
-		}
-		words += ss.hash[r].SpaceWords()
+	for i := range ss.cells {
+		words += ss.cells[i].SpaceWords()
+	}
+	for _, h := range ss.hash {
+		words += h.SpaceWords()
 	}
 	return words
 }
