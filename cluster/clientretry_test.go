@@ -88,7 +88,12 @@ func TestClientIngestNeverRetriesOnReset(t *testing.T) {
 	}
 	// The whole point: the client must NOT have re-sent the stream.  The
 	// server saw exactly one /ingest request — whatever prefix it
-	// applied, it applied once.
+	// applied, it applied once.  The client can see the proxy's RST
+	// before the server goroutine has dispatched the delivered request,
+	// so wait (bounded) for the dispatch before counting.
+	for deadline := time.Now().Add(5 * time.Second); hc.count("/ingest") == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if got := hc.count("/ingest"); got != 1 {
 		t.Fatalf("server saw %d /ingest requests after a reset, want exactly 1 (reset retry would double-apply)", got)
 	}

@@ -35,14 +35,16 @@ type Config struct {
 	// negative disables the deadline).  One slow node then fails its slice
 	// of a scatter-gather instead of wedging the whole fan-out.
 	MemberTimeout time.Duration
-	// MaxBodyBytes caps an /ingest request body; 0 means 256 MiB.  The
-	// streaming path holds only one decode window regardless of body
-	// size, so the cap is a request-size sanity bound there; the
-	// ?atomic=1 path buffers the request *decoded* — roughly 3-4x the
-	// varint-encoded size — before anything is forwarded, which is why
-	// the default stays smaller than a node's (1 GiB).  Producers using
-	// atomic ingest should chunk large replays into multiple requests,
-	// as cmd/fewwload does.
+	// MaxBodyBytes caps an /ingest request body; 0 means 256 MiB.  A body
+	// over the cap is rejected with HTTP 413 at the same boundary as an
+	// invalid update: by default the windows before it stay applied, with
+	// ?atomic=1 nothing is.  The default path holds only one decode window
+	// regardless of body size, so the cap is a request-size sanity bound
+	// there; ?atomic=1 holds the request *decoded* — roughly 3-4x the
+	// varint-encoded size — until it has all validated, which is why the
+	// default stays smaller than a node's (1 GiB).  Producers using atomic
+	// ingest should chunk large replays into multiple requests, as
+	// cmd/fewwload does.
 	MaxBodyBytes int64
 	// ChunkUpdates is the streaming-ingest window: the gateway decodes,
 	// validates, and splits this many updates at a time, then forwards
@@ -245,20 +247,65 @@ func (g *Gateway) groupFor(a int64) int {
 	return lo
 }
 
+// scatter runs fn(0), ..., fn(n-1) concurrently and returns once every
+// call has.
+func scatter(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // scatterGroups runs fn against every group concurrently and returns the
 // per-group errors.
 func (g *Gateway) scatterGroups(fn func(j int, gr *group) error) []error {
 	errs := make([]error, len(g.groups))
-	var wg sync.WaitGroup
-	for j, gr := range g.groups {
-		wg.Add(1)
-		go func(j int, gr *group) {
-			defer wg.Done()
-			errs[j] = fn(j, gr)
-		}(j, gr)
-	}
-	wg.Wait()
+	scatter(len(g.groups), func(j int) { errs[j] = fn(j, g.groups[j]) })
 	return errs
+}
+
+// memberSlot is one node of the current membership: a replica of a
+// group, or a spare (gr nil).
+type memberSlot struct {
+	gr      *group
+	rep     *replica
+	primary bool
+}
+
+// members lists the current membership in group order, each group's
+// replicas in replica order, followed by the spares when withSpares is
+// set.  Callers probe the slots concurrently with scatter.
+func (g *Gateway) members(withSpares bool) []memberSlot {
+	var slots []memberSlot
+	for _, gr := range g.groups {
+		reps, prim := gr.snapshot()
+		for _, rep := range reps {
+			slots = append(slots, memberSlot{gr: gr, rep: rep, primary: rep == prim})
+		}
+	}
+	if withSpares {
+		for _, rep := range g.spareList() {
+			slots = append(slots, memberSlot{rep: rep})
+		}
+	}
+	return slots
+}
+
+// info describes the slot in the /stats and /healthz payloads.
+func (s memberSlot) info() MemberInfo {
+	mi := MemberInfo{URL: s.rep.client().Base, Group: -1, Role: "spare", State: stateName(s.rep.state.Load())}
+	if s.gr != nil {
+		mi.Range, mi.Group, mi.Role = s.gr.rng, s.gr.idx, "replica"
+		if s.primary {
+			mi.Role = "primary"
+		}
+	}
+	return mi
 }
 
 // groupRead serves one group's slice of a read.  A published read tries
@@ -305,7 +352,8 @@ func wantFresh(r *http.Request) bool {
 	return err == nil && fresh
 }
 
-// wantAtomic mirrors the ?atomic=1 opt-in to buffer-whole ingest.
+// wantAtomic reports the ?atomic=1 opt-in to the whole-request reject
+// boundary (see handleIngest).
 func wantAtomic(r *http.Request) bool {
 	atomic, err := strconv.ParseBool(r.URL.Query().Get("atomic"))
 	return err == nil && atomic
@@ -316,39 +364,109 @@ func wantAtomic(r *http.Request) bool {
 // preserved), fanning each range's share out to every live replica of
 // the owning group.
 //
-// The default path is *streaming*: the gateway decodes one bounded
-// window (Config.ChunkUpdates) at a time, validates it, and forwards
-// each replica's share as one frame into that replica's already-open
-// /ingest request — decode of window k+1 overlaps the members applying
-// window k, and gateway memory stays one window regardless of body
-// size.  The window is also the unit of replication: every live replica
-// of a group receives the same frames in the same order, so replicas
-// that saw every window hold byte-identical engine state (the window is
-// the epoch delta of the paper's one-way protocol).  A replica whose
-// stream dies mid-request is marked failed and dropped from the fan-out
-// — the request continues on the survivors and still succeeds, which is
-// what lets a loader stream through a node kill without retrying (and
+// Both ingest modes run one pipeline.  The gateway decodes and
+// validates every update, splits it by range, and forwards each
+// replica's share as FEWW frames into a streaming /ingest request open
+// on that replica (openIngest, flush, finish).  Every live replica of a
+// group receives the same frames in the same order, so replicas that saw
+// every frame hold byte-identical engine state (a frame is the epoch
+// delta of the paper's one-way protocol).  A replica whose stream dies
+// mid-request is marked failed and dropped from the fan-out — the
+// request continues on the survivors and still succeeds, which is what
+// lets a loader stream through a node kill without retrying (and
 // therefore without the double-apply a retry could cause).  Only when a
 // group loses *all* its replicas does the request fail (HTTP 502), with
-// Accepted reporting the partial progress.
+// Accepted reporting what the members applied.
 //
-// The all-or-nothing contract of PR 3 holds per window rather than per
-// request: nothing from a window containing a malformed or
+// The modes differ only in where a rejected update stops the request.
+// By default the member streams open before the body is read and every
+// Config.ChunkUpdates updates go out as one window: decode of window k+1
+// overlaps the members applying window k, and gateway memory stays one
+// window regardless of body size.  The engine's all-or-nothing contract
+// then holds per window: nothing from a window containing a malformed or
 // out-of-universe update is forwarded (HTTP 400), but earlier windows
 // were already applied, and the response's Accepted count says how
-// much.
-//
-// ?atomic=1 restores the whole-request boundary: the entire request is
-// decoded and validated before a single update is forwarded, so a
-// rejected stream leaves every member untouched.  It costs the decoded
-// buffer (roughly 3-4x the encoded size) and a serial decode-then-send.
+// much.  ?atomic=1 moves the boundary to the whole request: the streams
+// open only after the entire body has decoded and validated, so a
+// rejected request reaches no member.  It costs the decoded buffer
+// (roughly 3-4x the encoded size) and a serial decode-then-send.  A body
+// over Config.MaxBodyBytes is rejected at the same boundaries, with HTTP
+// 413.
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	if wantAtomic(r) {
-		g.ingestAtomic(w, body)
+	sc, err := stream.NewScanner(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	if err != nil {
+		writeJSON(w, rejectCode(err), server.IngestResponse{Error: err.Error()})
 		return
 	}
-	g.ingestStreaming(w, body)
+	headerM := g.m
+	if headerM == 0 {
+		headerM = sc.M()
+	}
+	atomic := wantAtomic(r)
+	var fan *ingestFanout
+	if !atomic {
+		fan = g.openIngest(headerM)
+	}
+
+	per := make([][]feww.Update, len(g.groups))
+	var (
+		badReq  error // malformed, invalid or over-cap stream: HTTP 400 or 413
+		sendErr error // a whole group died mid-forward: HTTP 502
+	)
+	for i := 0; sc.Scan(); i++ {
+		u := sc.Update()
+		// The window (or, atomically, the request) holding an invalid
+		// update is dropped whole: nothing at or past it is forwarded.
+		if badReq = g.checkUpdate(i, u); badReq != nil {
+			break
+		}
+		j := g.groupFor(u.A)
+		u.A -= g.groups[j].rng.Lo
+		per[j] = append(per[j], u)
+		if !atomic && (i+1)%g.cfg.ChunkUpdates == 0 {
+			if sendErr = fan.flush(per); sendErr != nil {
+				break
+			}
+		}
+	}
+	if badReq == nil {
+		badReq = sc.Err()
+	}
+	if atomic {
+		if badReq != nil {
+			writeJSON(w, rejectCode(badReq), server.IngestResponse{Error: badReq.Error()})
+			return
+		}
+		fan = g.openIngest(headerM)
+	}
+	if badReq == nil && sendErr == nil {
+		sendErr = fan.flush(per)
+	}
+
+	out, gatherErr := fan.finish()
+	code := http.StatusOK
+	switch {
+	case badReq != nil:
+		code, out.Error = rejectCode(badReq), badReq.Error()
+	case gatherErr != nil:
+		// The replicas' own response errors name the root cause when they
+		// exist; the pipe-write error is the fallback.
+		code, out.Error = http.StatusBadGateway, gatherErr.Error()
+	case sendErr != nil:
+		code, out.Error = http.StatusBadGateway, sendErr.Error()
+	}
+	writeJSON(w, code, out)
+}
+
+// rejectCode is the status of an ingest body the gateway refused: 413
+// when it outgrew Config.MaxBodyBytes, 400 when it was malformed or
+// invalid.
+func rejectCode(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // replicaStream is the gateway side of one replica's in-flight streaming
@@ -365,7 +483,7 @@ type replicaStream struct {
 	done   chan struct{}
 }
 
-// groupIngest is one group's fan-out of a streaming ingest request.
+// groupIngest is one group's fan-out of an ingest request.
 type groupIngest struct {
 	gr      *group
 	streams []*replicaStream
@@ -382,7 +500,7 @@ func (gi *groupIngest) exhausted() bool {
 }
 
 // failStream marks a replica stream broken after a write error, marks
-// the replica failed (its state is now missing a window — only a re-seed
+// the replica failed (its state is now missing a frame — only a re-seed
 // may bring it back), and records the decision once.
 func (g *Gateway) failStream(gi *groupIngest, rs *replicaStream, err error) {
 	rs.broken = true
@@ -392,260 +510,124 @@ func (g *Gateway) failStream(gi *groupIngest, rs *replicaStream, err error) {
 	}
 }
 
-func (g *Gateway) ingestStreaming(w http.ResponseWriter, body io.Reader) {
-	sc, err := stream.NewScanner(body)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, server.IngestResponse{Error: err.Error()})
-		return
-	}
-	headerM := g.m
-	if headerM == 0 {
-		headerM = sc.M()
-	}
+// ingestFanout is one ingest request's open replica streams, a
+// groupIngest per group in range order.
+type ingestFanout struct {
+	g      *Gateway
+	m      int64 // the witness universe every forwarded frame declares
+	groups []*groupIngest
+}
 
-	// Open one streaming request per live replica before touching the
-	// body.  The group's shared ingest lock is taken *before* target
-	// selection and held (one reader hold per group, released in finish
-	// once the group's responses are gathered) across the whole request:
-	// a rebalance or reconciler re-seed takes the lock exclusively, so it
-	// either completes before the targets are chosen or waits until every
-	// stream has landed — never in between, where it could seed a failed
-	// replica from the primary's pre-request state and mark it live while
-	// this request's windows bypass it, silently diverging the copies.
-	// A pipe write blocks until the replica's transport consumes it, so a
-	// slow replica back-pressures the whole forward loop instead of
-	// growing a gateway-side buffer; a dead replica closes its read end,
-	// failing the next write immediately.
-	gis := make([]*groupIngest, len(g.groups))
+// openIngest opens one streaming /ingest request per ingest target of
+// every group.  The group's shared ingest lock is taken *before* target
+// selection and held (one reader hold per group, released in finish once
+// the group's responses are gathered) across the whole request: a
+// rebalance or reconciler re-seed takes the lock exclusively, so it
+// either completes before the targets are chosen or waits until every
+// stream has landed — never in between, where it could seed a failed
+// replica from the primary's pre-request state and mark it live while
+// this request's frames bypass it, silently diverging the copies.  A
+// pipe write blocks until the replica's transport consumes it, so a slow
+// replica back-pressures the whole forward loop instead of growing a
+// gateway-side buffer; a dead replica closes its read end, failing the
+// next write immediately.
+func (g *Gateway) openIngest(m int64) *ingestFanout {
+	f := &ingestFanout{g: g, m: m, groups: make([]*groupIngest, len(g.groups))}
 	for j, gr := range g.groups {
 		gr.ingestMu.RLock()
 		targets := gr.ingestTargets()
 		gi := &groupIngest{gr: gr, streams: make([]*replicaStream, len(targets))}
-		gis[j] = gi
+		f.groups[j] = gi
 		for k, rep := range targets {
 			pr, pw := io.Pipe()
 			rs := &replicaStream{rep: rep, pw: pw, fw: stream.NewFrameWriter(pw), done: make(chan struct{})}
 			gi.streams[k] = rs
-			go func(rs *replicaStream, pr *io.PipeReader) {
+			go func() {
 				defer close(rs.done)
-				rs.resp, rs.err = rs.rep.client().IngestStream(pr)
+				rs.resp, rs.err = rep.client().IngestStream(pr)
 				pr.CloseWithError(rs.err)
-			}(rs, pr)
+			}()
 		}
 	}
-
-	// finish closes every replica stream — first writing one empty frame
-	// to any replica that never received data, so its body decodes and a
-	// dead replica surfaces even when no traffic reached its range — then
-	// gathers the responses, releasing each group's ingest lock once its
-	// last stream has landed.  Replicas of a group that answered received
-	// identical frames, so their accepted counts agree; the group's
-	// contribution is the max over its replicas (never the sum, which
-	// would count replication as throughput).  A replica whose request
-	// errored is marked failed; the group only fails the request when
-	// every replica errored.
-	finish := func() (server.IngestResponse, error) {
-		var out server.IngestResponse
-		groupErrs := make([]error, len(gis))
-		for _, gi := range gis {
-			for _, rs := range gi.streams {
-				if !rs.broken && rs.frames == 0 {
-					_ = rs.fw.WriteFrame(gi.gr.rng.Len(), headerM, nil)
-				}
-				rs.pw.Close()
-			}
-		}
-		for j, gi := range gis {
-			var accepted, total int64
-			var errs []string
-			ok := false
-			for _, rs := range gi.streams {
-				<-rs.done
-				if rs.err != nil {
-					if rs.rep.markFailed() {
-						g.recordDecision("fail", gi.gr, rs.rep.client().Base, "ingest response: "+rs.err.Error())
-					}
-					errs = append(errs, fmt.Sprintf("%s: %v", rs.rep.client().Base, rs.err))
-				} else {
-					ok = true
-				}
-				accepted = max(accepted, rs.resp.Accepted)
-				total = max(total, rs.resp.Total)
-			}
-			gi.gr.ingestMu.RUnlock()
-			out.Accepted += accepted
-			out.Total += total
-			if !ok {
-				groupErrs[j] = errors.New(strings.Join(errs, "; "))
-			}
-		}
-		return out, g.firstError(groupErrs)
-	}
-
-	per := make([][]feww.Update, len(g.groups))
-	flush := func() error {
-		for j, ups := range per {
-			if len(ups) == 0 {
-				continue
-			}
-			gi := gis[j]
-			for _, rs := range gi.streams {
-				if rs.broken {
-					continue
-				}
-				if err := rs.fw.WriteFrame(gi.gr.rng.Len(), headerM, ups); err != nil {
-					g.failStream(gi, rs, err)
-				} else {
-					rs.frames++
-				}
-			}
-			per[j] = ups[:0]
-			if gi.exhausted() {
-				return fmt.Errorf("range %d (%s): every replica failed mid-stream", j, gi.gr.rng)
-			}
-		}
-		return nil
-	}
-
-	var (
-		badReq  error // malformed or invalid stream: HTTP 400
-		sendErr error // a whole group died mid-forward: HTTP 502
-	)
-	i, window := 0, 0
-	for badReq == nil && sendErr == nil && sc.Scan() {
-		u := sc.Update()
-		if err := g.checkUpdate(i, u); err != nil {
-			// Reject-before-forward holds per window: the window holding
-			// the invalid update is dropped whole; nothing at or past it
-			// is ever forwarded.
-			badReq = err
-			break
-		}
-		j := g.groupFor(u.A)
-		u.A -= g.groups[j].rng.Lo
-		per[j] = append(per[j], u)
-		i++
-		window++
-		if window >= g.cfg.ChunkUpdates {
-			sendErr = flush()
-			window = 0
-		}
-	}
-	if badReq == nil && sendErr == nil {
-		if err := sc.Err(); err != nil {
-			badReq = err
-		} else {
-			sendErr = flush()
-		}
-	}
-
-	out, gatherErr := finish()
-	switch {
-	case badReq != nil:
-		out.Error = badReq.Error()
-		writeJSON(w, http.StatusBadRequest, out)
-	case sendErr != nil || gatherErr != nil:
-		// The replicas' own response errors name the root cause when they
-		// exist; the pipe-write error is the fallback.
-		if gatherErr != nil {
-			out.Error = gatherErr.Error()
-		} else {
-			out.Error = sendErr.Error()
-		}
-		writeJSON(w, http.StatusBadGateway, out)
-	default:
-		writeJSON(w, http.StatusOK, out)
-	}
+	return f
 }
 
-// ingestAtomic is the ?atomic=1 path: decode and validate the entire
-// request, then fan the per-range sub-streams out concurrently to every
-// live replica.  A rejected stream leaves every member untouched; a
-// replica that fails is marked failed, and the request only errors when
-// a whole group failed.
-func (g *Gateway) ingestAtomic(w http.ResponseWriter, body io.Reader) {
-	sc, err := stream.NewScanner(body)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, server.IngestResponse{Error: err.Error()})
-		return
-	}
-	per := make([][]feww.Update, len(g.groups))
-	i := 0
-	for sc.Scan() {
-		u := sc.Update()
-		if err := g.checkUpdate(i, u); err != nil {
-			writeJSON(w, http.StatusBadRequest, server.IngestResponse{Error: err.Error()})
-			return
+// flush forwards each group's pending share as one frame to every
+// replica stream still standing, and empties the shares.  A group that
+// has lost every stream fails the request, but only after the other
+// groups have received their share of the window: groups apply
+// independently, so the request's Accepted stays what the members
+// applied.  flush reports the first exhausted group.
+func (f *ingestFanout) flush(per [][]feww.Update) error {
+	var err error
+	for j, ups := range per {
+		if len(ups) == 0 {
+			continue
 		}
-		j := g.groupFor(u.A)
-		u.A -= g.groups[j].rng.Lo
-		per[j] = append(per[j], u)
-		i++
+		gi := f.groups[j]
+		for _, rs := range gi.streams {
+			if rs.broken {
+				continue
+			}
+			if werr := rs.fw.WriteFrame(gi.gr.rng.Len(), f.m, ups); werr != nil {
+				f.g.failStream(gi, rs, werr)
+			} else {
+				rs.frames++
+			}
+		}
+		per[j] = ups[:0]
+		if err == nil && gi.exhausted() {
+			err = fmt.Errorf("range %d (%s): every replica failed mid-stream", j, gi.gr.rng)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.IngestResponse{Error: err.Error()})
-		return
-	}
+	return err
+}
 
-	// Forward every sub-stream concurrently.  Groups with no updates in
-	// this request still get an empty stream: the response's Total then
-	// reflects the whole cluster, and a dead replica surfaces here rather
-	// than silently once traffic reaches its range.
-	headerM := g.m
-	if headerM == 0 {
-		headerM = sc.M()
+// finish closes every replica stream — first writing one empty frame to
+// any replica that never received data, so its body decodes and a dead
+// replica surfaces even when no traffic reached its range — then gathers
+// the responses, releasing each group's ingest lock once its last stream
+// has landed.  Replicas of a group that answered received identical
+// frames, so their accepted counts agree; the group's contribution is
+// the max over its replicas (never the sum, which would count
+// replication as throughput).  A replica whose request errored is marked
+// failed; the group only fails the request when every replica errored.
+func (f *ingestFanout) finish() (server.IngestResponse, error) {
+	for _, gi := range f.groups {
+		for _, rs := range gi.streams {
+			if !rs.broken && rs.frames == 0 {
+				_ = rs.fw.WriteFrame(gi.gr.rng.Len(), f.m, nil)
+			}
+			rs.pw.Close()
+		}
 	}
 	var out server.IngestResponse
-	var outMu sync.Mutex
-	groupErrs := g.scatterGroups(func(j int, gr *group) error {
-		// As on the streaming path, the shared ingest lock is taken before
-		// target selection and held until every replica request has landed,
-		// so an exclusive-lock re-seed cannot slip between choosing the
-		// targets and the replicas seeing the request.
-		gr.ingestMu.RLock()
-		defer gr.ingestMu.RUnlock()
-		targets := gr.ingestTargets()
-		resps := make([]server.IngestResponse, len(targets))
-		errs := make([]error, len(targets))
-		var wg sync.WaitGroup
-		for k, rep := range targets {
-			wg.Add(1)
-			go func(k int, rep *replica) {
-				defer wg.Done()
-				resps[k], errs[k] = rep.client().Ingest(gr.rng.Len(), headerM, per[j])
-			}(k, rep)
-		}
-		wg.Wait()
+	groupErrs := make([]error, len(f.groups))
+	for j, gi := range f.groups {
 		var accepted, total int64
-		var msgs []string
+		var errs []string
 		ok := false
-		for k, rep := range targets {
-			if errs[k] != nil {
-				if rep.markFailed() {
-					g.recordDecision("fail", gr, rep.client().Base, "atomic ingest: "+errs[k].Error())
+		for _, rs := range gi.streams {
+			<-rs.done
+			if rs.err != nil {
+				if rs.rep.markFailed() {
+					f.g.recordDecision("fail", gi.gr, rs.rep.client().Base, "ingest response: "+rs.err.Error())
 				}
-				msgs = append(msgs, fmt.Sprintf("%s: %v", rep.client().Base, errs[k]))
+				errs = append(errs, fmt.Sprintf("%s: %v", rs.rep.client().Base, rs.err))
 			} else {
 				ok = true
 			}
-			accepted = max(accepted, resps[k].Accepted)
-			total = max(total, resps[k].Total)
+			accepted = max(accepted, rs.resp.Accepted)
+			total = max(total, rs.resp.Total)
 		}
-		outMu.Lock()
+		gi.gr.ingestMu.RUnlock()
 		out.Accepted += accepted
 		out.Total += total
-		outMu.Unlock()
 		if !ok {
-			return errors.New(strings.Join(msgs, "; "))
+			groupErrs[j] = errors.New(strings.Join(errs, "; "))
 		}
-		return nil
-	})
-	if err := g.firstError(groupErrs); err != nil {
-		out.Error = err.Error()
-		writeJSON(w, http.StatusBadGateway, out)
-		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, f.g.firstError(groupErrs)
 }
 
 // checkUpdate validates one decoded update against the cluster universe
@@ -707,33 +689,43 @@ func (g *Gateway) checkAnswerRung(rung int) error {
 	return nil
 }
 
-func (g *Gateway) handleBest(w http.ResponseWriter, r *http.Request) {
-	fresh := wantFresh(r)
-	bests := make([]server.BestResponse, len(g.groups))
+// scatterRead reads every group's slice of a query concurrently through
+// groupRead — the published or the fresh member call per ?fresh=1 —
+// rejects an answer whose star rung contradicts the cluster kind, and
+// remaps each answer's range-local vertex ids to global ones.  rung
+// reports an answer's rung, with ok false when the answer is empty and
+// there is nothing to check.
+func scatterRead[T any](g *Gateway, r *http.Request,
+	published, fresh func(*server.Client) (T, error),
+	rung func(T) (rung int, ok bool), remap func(T, int64) T) ([]T, error) {
+	wantF := wantFresh(r)
+	read := published
+	if wantF {
+		read = fresh
+	}
+	out := make([]T, len(g.groups))
 	errs := g.scatterGroups(func(j int, gr *group) error {
-		return g.groupRead(gr, fresh, func(cl *server.Client) error {
-			var (
-				b   server.BestResponse
-				err error
-			)
-			if fresh {
-				b, err = cl.BestFresh()
-			} else {
-				b, err = cl.Best()
-			}
+		return g.groupRead(gr, wantF, func(cl *server.Client) error {
+			v, err := read(cl)
 			if err != nil {
 				return err
 			}
-			if b.Found {
-				if err := g.checkAnswerRung(respRung(b)); err != nil {
+			if rg, ok := rung(v); ok {
+				if err := g.checkAnswerRung(rg); err != nil {
 					return err
 				}
 			}
-			bests[j] = remapBest(b, gr.rng.Lo)
+			out[j] = remap(v, gr.rng.Lo)
 			return nil
 		})
 	})
-	if err := g.firstError(errs); err != nil {
+	return out, g.firstError(errs)
+}
+
+func (g *Gateway) handleBest(w http.ResponseWriter, r *http.Request) {
+	bests, err := scatterRead(g, r, (*server.Client).Best, (*server.Client).BestFresh,
+		func(b server.BestResponse) (int, bool) { return respRung(b), b.Found }, remapBest)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
@@ -741,48 +733,31 @@ func (g *Gateway) handleBest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleResults(w http.ResponseWriter, r *http.Request) {
-	fresh := wantFresh(r)
-	lists := make([][]server.NeighbourhoodJSON, len(g.groups))
-	errs := g.scatterGroups(func(j int, gr *group) error {
-		return g.groupRead(gr, fresh, func(cl *server.Client) error {
-			var (
-				nbs []server.NeighbourhoodJSON
-				err error
-			)
-			if fresh {
-				nbs, err = cl.ResultsFresh()
-			} else {
-				nbs, err = cl.Results()
-			}
-			if err != nil {
-				return err
-			}
-			if len(nbs) > 0 {
-				if err := g.checkAnswerRung(listRung(nbs)); err != nil {
-					return err
-				}
-			}
-			lists[j] = remapResults(nbs, gr.rng.Lo)
-			return nil
-		})
-	})
-	if err := g.firstError(errs); err != nil {
+	lists, err := scatterRead(g, r, (*server.Client).Results, (*server.Client).ResultsFresh,
+		func(nbs []server.NeighbourhoodJSON) (int, bool) { return listRung(nbs), len(nbs) > 0 }, remapResults)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	writeJSON(w, http.StatusOK, mergeResults(lists))
 }
 
-// MemberStats is one replica's slice of the cluster /stats payload.
-type MemberStats struct {
+// MemberInfo identifies one node in the cluster /stats and /healthz
+// payloads.
+type MemberInfo struct {
 	URL   string `json:"url"`
 	Range Range  `json:"range"`
 	// Group is the replica group serving the range (-1 for spares), Role
 	// "primary", "replica" or "spare", State the gateway's live/failed
 	// judgement of the replica.
-	Group int                   `json:"group"`
-	Role  string                `json:"role"`
-	State string                `json:"state"`
+	Group int    `json:"group"`
+	Role  string `json:"role"`
+	State string `json:"state"`
+}
+
+// MemberStats is one replica's slice of the cluster /stats payload.
+type MemberStats struct {
+	MemberInfo
 	Error string                `json:"error,omitempty"`
 	Stats *server.StatsResponse `json:"stats,omitempty"`
 }
@@ -818,35 +793,17 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	if fresh {
 		consistency = "fresh"
 	}
-	// Flatten the current membership, then fan the stats fetches out over
-	// every replica at once.
-	type slot struct {
-		gr      *group
-		rep     *replica
-		primary bool
-	}
-	var slots []slot
-	for _, gr := range g.groups {
-		reps, prim := gr.snapshot()
-		for _, rep := range reps {
-			slots = append(slots, slot{gr: gr, rep: rep, primary: rep == prim})
-		}
-	}
+	// Fan the stats fetches out over every group replica at once.
+	slots := g.members(false)
 	stats := make([]server.StatsResponse, len(slots))
 	errs := make([]error, len(slots))
-	var wg sync.WaitGroup
-	for i, s := range slots {
-		wg.Add(1)
-		go func(i int, s slot) {
-			defer wg.Done()
-			if fresh {
-				stats[i], errs[i] = s.rep.client().StatsFresh()
-			} else {
-				stats[i], errs[i] = s.rep.client().Stats()
-			}
-		}(i, s)
-	}
-	wg.Wait()
+	scatter(len(slots), func(i int) {
+		if cl := slots[i].rep.client(); fresh {
+			stats[i], errs[i] = cl.StatsFresh()
+		} else {
+			stats[i], errs[i] = cl.Stats()
+		}
+	})
 
 	out := StatsResponse{
 		Service:       "fewwgate",
@@ -862,14 +819,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		PerMember:     make([]MemberStats, len(slots)),
 	}
 	for i, s := range slots {
-		role := "replica"
-		if s.primary {
-			role = "primary"
-		}
-		ms := MemberStats{
-			URL: s.rep.client().Base, Range: s.gr.rng, Group: s.gr.idx,
-			Role: role, State: stateName(s.rep.state.Load()),
-		}
+		ms := MemberStats{MemberInfo: s.info()}
 		if errs[i] != nil {
 			ms.Error = errs[i].Error()
 			out.Degraded = true
@@ -894,9 +844,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, rep := range g.spareList() {
 		// Spares hold placeholder engines; they are listed, not verified,
 		// and never count toward the sums or degrade the cluster.
-		out.Spares = append(out.Spares, MemberStats{
-			URL: rep.client().Base, Group: -1, Role: "spare", State: stateName(rep.state.Load()),
-		})
+		out.Spares = append(out.Spares, MemberStats{MemberInfo: memberSlot{rep: rep}.info()})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -907,11 +855,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // is the gateway's independent live/failed judgement (a stale replica
 // awaiting re-seed probes Ready but is failed).
 type MemberHealth struct {
-	URL    string                 `json:"url"`
-	Range  Range                  `json:"range"`
-	Group  int                    `json:"group"`
-	Role   string                 `json:"role"`
-	State  string                 `json:"state"`
+	MemberInfo
 	Ready  bool                   `json:"ready"`
 	Error  string                 `json:"error,omitempty"`
 	Health *server.HealthResponse `json:"health,omitempty"`
@@ -966,52 +910,20 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// one dead spare then costs the response a single member timeout in
 	// parallel with everything else, instead of stalling /healthz for a
 	// full timeout per spare after the members have answered.
-	type slot struct {
-		gr      *group // nil for spares
-		rep     *replica
-		primary bool
-	}
-	var slots []slot
-	for _, gr := range g.groups {
-		reps, prim := gr.snapshot()
-		for _, rep := range reps {
-			slots = append(slots, slot{gr: gr, rep: rep, primary: rep == prim})
-		}
-	}
-	for _, rep := range g.spareList() {
-		slots = append(slots, slot{rep: rep})
-	}
+	slots := g.members(true)
 	healths := make([]server.HealthResponse, len(slots))
 	errs := make([]error, len(slots))
-	var wg sync.WaitGroup
+	scatter(len(slots), func(i int) { healths[i], errs[i] = slots[i].rep.client().Health() })
 	for i, s := range slots {
-		wg.Add(1)
-		go func(i int, s slot) {
-			defer wg.Done()
-			healths[i], errs[i] = s.rep.client().Health()
-		}(i, s)
-	}
-	wg.Wait()
-	for i, s := range slots {
+		mh := MemberHealth{MemberInfo: s.info()}
 		if s.gr == nil {
-			mh := MemberHealth{URL: s.rep.client().Base, Group: -1, Role: "spare", State: stateName(s.rep.state.Load())}
 			if errs[i] != nil {
 				mh.Error = errs[i].Error()
 			} else {
-				h := healths[i]
-				mh.Health = &h
-				mh.Ready = h.Serving
+				mh.Health, mh.Ready = &healths[i], healths[i].Serving
 			}
 			out.Spares = append(out.Spares, mh)
 			continue
-		}
-		role := "replica"
-		if s.primary {
-			role = "primary"
-		}
-		mh := MemberHealth{
-			URL: s.rep.client().Base, Range: s.gr.rng, Group: s.gr.idx,
-			Role: role, State: stateName(s.rep.state.Load()),
 		}
 		if errs[i] != nil {
 			mh.Error = errs[i].Error()
@@ -1098,7 +1010,7 @@ func (g *Gateway) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var mu sync.Mutex
 	var out CheckpointResponse
 	errs := g.scatterGroups(func(j int, gr *group) error {
-		// As on the ingest paths, the shared ingest lock is taken before
+		// As on ingest, the shared ingest lock is taken before
 		// target selection and held across the replica requests: a re-seed
 		// (exclusive lock) could otherwise revive a replica between
 		// selection and the request, and its mid-seed checkpoint would
@@ -1273,7 +1185,7 @@ func (g *Gateway) handleIndex(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{
 		"service":          "fewwgate",
 		"engine":           g.kind,
-		"POST /ingest":     "FEWW binary stream body, split across ranges and fanned to every live replica (streamed in windows; ?atomic=1 to buffer and validate whole)",
+		"POST /ingest":     "FEWW binary stream body, split across ranges and fanned to every live replica (a rejected window stops the stream; ?atomic=1 validates the whole body before any member sees it)",
 		"GET /best":        "max-merged best neighbourhood (?fresh=1 for barrier consistency, pinned to primaries)",
 		"GET /results":     "concatenated full-target neighbourhoods (?fresh=1 for barrier consistency, pinned to primaries)",
 		"GET /stats":       "summed cluster stats with per-replica breakdown",

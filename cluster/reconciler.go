@@ -135,43 +135,19 @@ func (r *Reconciler) tick() {
 
 	// Probe everything concurrently first; decisions are taken
 	// sequentially against the settled results.
-	type target struct {
-		gr  *group // nil for spares
-		rep *replica
-	}
-	var targets []target
-	for _, gr := range g.groups {
-		reps, _ := gr.snapshot()
-		for _, rep := range reps {
-			targets = append(targets, target{gr: gr, rep: rep})
+	slots := g.members(true)
+	results := make([]probeResult, len(slots))
+	scatter(len(slots), func(i int) {
+		s := slots[i]
+		h, err := r.probe(s.rep.client().Base)
+		if err == nil && s.gr != nil {
+			err = g.verifyMember(h, s.gr.rng)
 		}
-	}
-	for _, sp := range g.spareList() {
-		targets = append(targets, target{rep: sp})
-	}
-	results := make([]probeResult, len(targets))
-	var wg sync.WaitGroup
-	for i, t := range targets {
-		wg.Add(1)
-		go func(i int, t target) {
-			defer wg.Done()
-			h, err := r.probe(t.rep.client().Base)
-			pr := probeResult{h: h, err: err}
-			if err == nil {
-				if t.gr != nil {
-					pr.err = g.verifyMember(h, t.gr.rng)
-					pr.ok = pr.err == nil
-				} else {
-					pr.ok = true
-				}
-			}
-			results[i] = pr
-		}(i, t)
-	}
-	wg.Wait()
-	probes := make(map[*replica]probeResult, len(targets))
-	for i, t := range targets {
-		probes[t.rep] = results[i]
+		results[i] = probeResult{ok: err == nil, h: h, err: err}
+	})
+	probes := make(map[*replica]probeResult, len(slots))
+	for i, s := range slots {
+		probes[s.rep] = results[i]
 	}
 
 	for _, gr := range g.groups {

@@ -156,7 +156,23 @@ func TestReplicatedFanOutByteIdentity(t *testing.T) {
 	}
 }
 
+// ingestModes are the gateway's two /ingest reject boundaries: per
+// window (the default) and per request (?atomic=1).  Both forward over
+// the same replica streams, so replica failure must look the same.
+var ingestModes = []struct{ name, query string }{
+	{"default", ""},
+	{"atomic", "?atomic=1"},
+}
+
 func TestReplicatedIngestSurvivesReplicaDeath(t *testing.T) {
+	for _, mode := range ingestModes {
+		t.Run(mode.name, func(t *testing.T) {
+			testIngestSurvivesReplicaDeath(t, mode.query)
+		})
+	}
+}
+
+func testIngestSurvivesReplicaDeath(t *testing.T, query string) {
 	const n, d = 120, 8
 	ref, g, gw, members, _ := startReplicatedInsertCluster(t, n, 2, 2, d, 0, nil)
 	ups := interleavedInserts(map[int64]int{10: 12, 70: 9, 100: 5, 30: 2, 90: 2})
@@ -165,7 +181,7 @@ func TestReplicatedIngestSurvivesReplicaDeath(t *testing.T) {
 	// Kill group 0's follower.  The fan-out to it fails, it is marked
 	// failed, and the request still accepts every update.
 	members[0][1].close()
-	code, out := postIngest(t, gw.URL, encodeUpdates(t, n, 0, ups))
+	code, out := postIngestQuery(t, gw.URL, query, encodeUpdates(t, n, 0, ups))
 	if code != http.StatusOK {
 		t.Fatalf("ingest with a dead follower: HTTP %d: %s", code, out.Error)
 	}
@@ -205,6 +221,43 @@ func TestReplicatedIngestSurvivesReplicaDeath(t *testing.T) {
 	get(t, gw.URL+"/best", http.StatusOK)
 	freshEqual(t, &httptestURL{ref.ts.URL}, &httptestURL{gw.URL}, "/best")
 	freshEqual(t, &httptestURL{ref.ts.URL}, &httptestURL{gw.URL}, "/results")
+}
+
+// TestReplicatedIngestWholeGroupDeath: when every replica of one group
+// is dead, the request fails with 502, and its Accepted count is what
+// the surviving group's members applied — never the dead group's share,
+// never the replicas summed.
+func TestReplicatedIngestWholeGroupDeath(t *testing.T) {
+	for _, mode := range ingestModes {
+		t.Run(mode.name, func(t *testing.T) {
+			const n, d = 120, 8
+			_, g, gw, members, _ := startReplicatedInsertCluster(t, n, 2, 2, d, 0, func(cfg *Config) {
+				cfg.ChunkUpdates = 16 // the default path forwards several windows
+			})
+			ups := interleavedInserts(map[int64]int{10: 12, 70: 9, 100: 5, 30: 2, 90: 2})
+			for _, nd := range members[0] {
+				nd.close()
+			}
+			code, out := postIngestQuery(t, gw.URL, mode.query, encodeUpdates(t, n, 0, ups))
+			if code != http.StatusBadGateway {
+				t.Fatalf("ingest with range 0 dead: HTTP %d (%s), want 502", code, out.Error)
+			}
+			if out.Accepted == 0 {
+				t.Fatalf("ingest with range 0 dead accepted nothing: range 1 must still receive its share (%s)", out.Error)
+			}
+			if got := clusterElements(t, gw.URL); out.Accepted != got {
+				t.Fatalf("502 reports Accepted %d, the live primaries hold %d", out.Accepted, got)
+			}
+			// Range 1's replicas saw the same frames: neither was failed.
+			for _, gs := range g.Status().Groups[1:] {
+				for _, rs := range gs.Replicas {
+					if rs.State != "live" {
+						t.Fatalf("range 1 replica %s is %s after range 0 died, want live", rs.URL, rs.State)
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestReplicatedReadFailoverAndFreshPin(t *testing.T) {

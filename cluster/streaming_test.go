@@ -21,7 +21,13 @@ import (
 // IngestResponse regardless of status.
 func postIngest(t *testing.T, url string, body []byte) (int, server.IngestResponse) {
 	t.Helper()
-	resp, err := http.Post(url+"/ingest", "application/octet-stream", bytes.NewReader(body))
+	return postIngestQuery(t, url, "", body)
+}
+
+// postIngestQuery is postIngest with a query string (e.g. "?atomic=1").
+func postIngestQuery(t *testing.T, url, query string, body []byte) (int, server.IngestResponse) {
+	t.Helper()
+	resp, err := http.Post(url+"/ingest"+query, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /ingest: %v", err)
 	}
@@ -319,5 +325,68 @@ func TestStreamingBackpressure(t *testing.T) {
 	}
 	if got := clusterElements(t, gw.URL); got != total {
 		t.Errorf("members hold %d elements, want %d", got, total)
+	}
+}
+
+// TestStreamingOverCapIs413 pins the body-cap contract of both reject
+// boundaries: a body longer than Config.MaxBodyBytes is answered 413, not
+// 400 — by default after the windows decoded before the cap were
+// forwarded (Accepted counts them, and the members hold exactly those),
+// with ?atomic=1 before any member saw a byte.
+func TestStreamingOverCapIs413(t *testing.T) {
+	const (
+		n     = 90
+		chunk = 10
+		whole = 35 // updates decoded in full before the cap
+	)
+	ups := make([]feww.Update, 200)
+	for i := range ups {
+		ups[i] = stream.Ins(int64(i%n), int64(i/n))
+	}
+	body := encodeUpdates(t, n, 0, ups)
+	// Header: magic, version, n, m (one byte each) and a two-byte count;
+	// then 3 bytes per update, every id below 128.
+	const header = 4 + 1 + 1 + 1 + 2
+	if len(body) != header+3*len(ups) {
+		t.Fatalf("body is %d bytes, want %d: the cap arithmetic below is off", len(body), header+3*len(ups))
+	}
+	for _, tc := range []struct {
+		mode, query string
+		accepted    int64
+	}{
+		{"default", "", whole / chunk * chunk},
+		{"atomic", "?atomic=1", 0},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			_, nodes := startChunkedCluster(t, n, 3, 5, chunk)
+			urls := make([]string, len(nodes))
+			for j, nd := range nodes {
+				urls[j] = nd.ts.URL
+			}
+			g, err := New(Config{Members: urls, ChunkUpdates: chunk, MaxBodyBytes: header + 3*whole + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw := serveGateway(t, g)
+
+			resp, err := http.Post(gw.URL+"/ingest"+tc.query, "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var out server.IngestResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("over-cap body: HTTP %d (%s), want 413", resp.StatusCode, out.Error)
+			}
+			if out.Accepted != tc.accepted {
+				t.Errorf("Accepted = %d, want %d", out.Accepted, tc.accepted)
+			}
+			if got := clusterElements(t, gw.URL); got != tc.accepted {
+				t.Errorf("members hold %d elements, want %d", got, tc.accepted)
+			}
+		})
 	}
 }

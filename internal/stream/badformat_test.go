@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -144,5 +145,56 @@ func TestScannerOffsetAndTruncation(t *testing.T) {
 	}
 	if !strings.Contains(sc.Err().Error(), "update 2 of 3") {
 		t.Fatalf("error does not locate the truncated update: %v", sc.Err())
+	}
+}
+
+// failAfter serves a prefix of data, then fails every read with err.
+type failAfter struct {
+	data []byte
+	err  error
+}
+
+func (f *failAfter) Read(p []byte) (int, error) {
+	if len(f.data) == 0 {
+		return 0, f.err
+	}
+	n := copy(p, f.data)
+	f.data = f.data[n:]
+	return n, nil
+}
+
+// TestReadErrorsKeepCause: a read error from the underlying reader — an
+// HTTP body cap, say — stays in the chain of the ErrBadFormat error at
+// every cut point, for ReadFile and both scanners, so a caller can tell
+// an over-long body from a malformed one.
+func TestReadErrorsKeepCause(t *testing.T) {
+	cause := errors.New("body cap")
+	good := encodedStream(t, []Update{Ins(1, 2), Del(1, 2), Ins(3, 4)})
+	scan := func(newScanner func(io.Reader) (*Scanner, error)) func(io.Reader) error {
+		return func(r io.Reader) error {
+			sc, err := newScanner(r)
+			if err != nil {
+				return err
+			}
+			for sc.Scan() {
+			}
+			return sc.Err()
+		}
+	}
+	decoders := map[string]func(io.Reader) error{
+		"ReadFile": func(r io.Reader) error {
+			_, _, _, err := ReadFile(r)
+			return err
+		},
+		"Scanner":      scan(NewScanner),
+		"FrameScanner": scan(NewFrameScanner),
+	}
+	for name, decode := range decoders {
+		for cut := 0; cut <= len(good); cut++ {
+			err := decode(&failAfter{data: good[:cut], err: cause})
+			if !errors.Is(err, ErrBadFormat) || !errors.Is(err, cause) {
+				t.Fatalf("%s, cut at %d: got %v, want ErrBadFormat wrapping the read error", name, cut, err)
+			}
+		}
 	}
 }

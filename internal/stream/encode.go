@@ -133,14 +133,14 @@ func (r *offsetReader) Read(p []byte) (int, error) {
 func readHeader(or *offsetReader) (n, m int64, count uint64, err error) {
 	var magic [4]byte
 	if _, err = io.ReadFull(or, magic[:]); err != nil {
-		return 0, 0, 0, fmt.Errorf("%w: reading magic at byte %d: %v", ErrBadFormat, or.off, err)
+		return 0, 0, 0, fmt.Errorf("%w: reading magic at byte %d: %w", ErrBadFormat, or.off, err)
 	}
 	if magic != fileMagic {
 		return 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrBadFormat, magic[:])
 	}
 	version, err := binary.ReadUvarint(or)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("%w: reading version at byte %d: %v", ErrBadFormat, or.off, err)
+		return 0, 0, 0, fmt.Errorf("%w: reading version at byte %d: %w", ErrBadFormat, or.off, err)
 	}
 	if version != fileVersion {
 		return 0, 0, 0, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
@@ -148,7 +148,7 @@ func readHeader(or *offsetReader) (n, m int64, count uint64, err error) {
 	hdr := make([]uint64, 3)
 	for i := range hdr {
 		if hdr[i], err = binary.ReadUvarint(or); err != nil {
-			return 0, 0, 0, fmt.Errorf("%w: reading header field %d at byte %d: %v", ErrBadFormat, i, or.off, err)
+			return 0, 0, 0, fmt.Errorf("%w: reading header field %d at byte %d: %w", ErrBadFormat, i, or.off, err)
 		}
 	}
 	return int64(hdr[0]), int64(hdr[1]), hdr[2], nil
@@ -161,7 +161,7 @@ func readUpdate(or *offsetReader, i, count uint64) (Update, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Update{}, fmt.Errorf("%w: truncated in %s of update %d of %d at byte %d: %v",
+		return Update{}, fmt.Errorf("%w: truncated in %s of update %d of %d at byte %d: %w",
 			ErrBadFormat, what, i, count, or.off, err)
 	}
 	op, err := or.ReadByte()
@@ -209,7 +209,7 @@ func ReadFile(r io.Reader) (n, m int64, ups []Update, err error) {
 		return 0, 0, nil, fmt.Errorf("%w: trailing data after the %d declared updates at byte %d",
 			ErrBadFormat, count, or.off-1)
 	} else if err != io.EOF {
-		return 0, 0, nil, fmt.Errorf("%w: at byte %d: %v", ErrBadFormat, or.off, err)
+		return 0, 0, nil, fmt.Errorf("%w: at byte %d: %w", ErrBadFormat, or.off, err)
 	}
 	return n, m, ups, nil
 }

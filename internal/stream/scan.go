@@ -111,7 +111,7 @@ func (s *Scanner) nextFrame() bool {
 	if _, err := s.or.br.Peek(1); err == io.EOF {
 		return false
 	} else if err != nil {
-		s.err = fmt.Errorf("%w: at byte %d: %v", ErrBadFormat, s.or.off, err)
+		s.err = fmt.Errorf("%w: at byte %d: %w", ErrBadFormat, s.or.off, err)
 		return false
 	}
 	frameStart := s.or.off
@@ -144,7 +144,7 @@ func (s *Scanner) checkTrailing() {
 		s.err = fmt.Errorf("%w: trailing data after the %d declared updates at byte %d",
 			ErrBadFormat, s.total, s.or.off-1)
 	} else if err != io.EOF {
-		s.err = fmt.Errorf("%w: at byte %d: %v", ErrBadFormat, s.or.off, err)
+		s.err = fmt.Errorf("%w: at byte %d: %w", ErrBadFormat, s.or.off, err)
 	}
 }
 

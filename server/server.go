@@ -73,7 +73,9 @@ type Config struct {
 	// snapshot (atomically: temp file + rename).  Empty disables the
 	// endpoint.
 	CheckpointPath string
-	// MaxBodyBytes caps an /ingest request body; 0 means 1 GiB.
+	// MaxBodyBytes caps an /ingest request body; 0 means 1 GiB.  A body
+	// over the cap is answered 413, with the chunks decoded before the
+	// cap applied and counted in Accepted.
 	MaxBodyBytes int64
 }
 
@@ -343,10 +345,14 @@ func (s *Server) ingestError(w http.ResponseWriter, be Backend, accepted int64, 
 	be.Flush()
 	// A shutdown race is the server's fault, not the client's: the stream
 	// was well-formed, the engine just stopped accepting.  503 invites a
-	// retry against the restarted instance; anything else is a 400.
+	// retry against the restarted instance.  A body over MaxBodyBytes is
+	// a 413, as on /restore; anything else is a 400.
+	var tooLarge *http.MaxBytesError
 	code := http.StatusBadRequest
 	if errors.Is(err, feww.ErrClosed) {
 		code = http.StatusServiceUnavailable
+	} else if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, code, IngestResponse{
 		Accepted: accepted,

@@ -320,6 +320,56 @@ func TestIngestNegativeIDIs400(t *testing.T) {
 	}
 }
 
+// TestIngestOverCapIs413: a body longer than Config.MaxBodyBytes is the
+// sender's size problem, not a malformed stream — it gets a 413 whose
+// error still carries the decoder's ErrBadFormat text, and the chunks decoded
+// before the cap stay applied and counted.
+func TestIngestOverCapIs413(t *testing.T) {
+	eng, err := feww.NewEngine(testEngineCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(NewInsertOnlyBackend(eng), Config{MaxBodyBytes: 64 << 10})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Close()
+	})
+
+	// ~5 encoded bytes per update: the cap lands past the first chunk
+	// and well before the end of the body.
+	ups := make([]feww.Update, 3*ingestChunk)
+	for i := range ups {
+		ups[i] = stream.Ins(int64(100+i%400), int64(100+i/400))
+	}
+	var body bytes.Buffer
+	if err := stream.WriteFile(&body, 500, 0, ups); err != nil {
+		t.Fatal(err)
+	}
+	if body.Len() <= 64<<10 {
+		t.Fatalf("test body is %d bytes, want it over the %d-byte cap", body.Len(), 64<<10)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/ingest", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ir IngestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap body: HTTP %d (%s), want 413", resp.StatusCode, ir.Error)
+	}
+	if !strings.Contains(ir.Error, "request body too large") || !strings.Contains(ir.Error, stream.ErrBadFormat.Error()) {
+		t.Errorf("413 error %q does not name both the decode failure and the body cap", ir.Error)
+	}
+	if ir.Accepted != ingestChunk || ir.Total != ingestChunk {
+		t.Errorf("accepted/total = %d/%d, want %d/%d (the one full chunk before the cap)",
+			ir.Accepted, ir.Total, ingestChunk, ingestChunk)
+	}
+}
+
 // TestIngestDuringShutdownIs503: an /ingest racing Backend.Close gets a
 // 503 (retry against the restarted instance), not a panic-killed
 // connection.
