@@ -61,20 +61,14 @@ type Config struct {
 // between nodes and an optional autonomous Reconciler.  All handlers are
 // safe for concurrent use.
 type Gateway struct {
-	cfg    Config
-	kind   string // members' engine kind: "insert-only", "turnstile", "star" or "window"
-	n      int64  // total item universe: sum of group ranges
-	m      int64  // witness universe (turnstile/star members; 0 otherwise)
-	target int64  // the members' witness target, identical on every member
-	rungs  int    // star guess-ladder length (0 for the flat kinds)
-
-	// window geometry (window members only; 0 otherwise).  Every member
-	// must agree on both: each node slides its own window over the share
-	// of the stream routed to it, so under range-balanced traffic the
-	// cluster serves one coherent global window of groups x window
-	// updates — which only holds when the member windows are identical.
-	window        int64
-	windowBuckets int64
+	cfg  Config
+	kind *server.Kind // members' engine kind
+	n    int64        // total item universe: sum of group ranges
+	// ref is the first member's probe at construction: the engine
+	// parameters every member must share (see verifyMember) — witness
+	// universe M (0 where witnesses are unbounded), witness target, star
+	// Rungs, window geometry.
+	ref server.HealthResponse
 
 	groups []*group
 	mux    *http.ServeMux
@@ -104,12 +98,13 @@ type Gateway struct {
 
 // New builds a gateway over the configured members, probing each node's
 // /healthz to discover its universe size and verify the cluster is
-// coherent: every member must serve the same engine kind with the same
-// witness target (and, for turnstile engines, the same witness universe
-// m), and the replicas of one group must report the same universe size.
-// Group j's range is [sum of earlier group sizes, + its own size).  A
-// member that is down or draining fails construction — callers that want
-// to wait for a bootstrapping cluster retry New (see cmd/fewwgate -wait).
+// coherent: the first member fixes the engine kind and parameters, a
+// group's first replica fixes its range size, and every member must then
+// pass verifyMember — the check /healthz, the reconciler and rebalance
+// apply later.  Group j's range is [sum of earlier group sizes, + its own
+// size).  A member that is down or draining fails construction — callers
+// that want to wait for a bootstrapping cluster retry New (see
+// cmd/fewwgate -wait).
 func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Members) == 0 {
 		return nil, errors.New("cluster: no members configured")
@@ -131,63 +126,48 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("cluster: %d members cannot hold %d replicas of even one range", len(cfg.Members), cfg.Replicas)
 	}
 	g := &Gateway{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
-	lo := int64(0)
-	for j := 0; j < nGroups; j++ {
-		gr := &group{idx: j}
-		var groupN int64
-		for k := 0; k < cfg.Replicas; k++ {
-			idx := j*cfg.Replicas + k
-			url := cfg.Members[idx]
-			cl := g.newClient(url)
-			h, err := cl.Health()
-			if err != nil {
-				return nil, fmt.Errorf("cluster: member %d (%s): %w", idx, url, err)
-			}
-			if !h.Serving {
-				return nil, fmt.Errorf("cluster: member %d (%s) is draining", idx, url)
-			}
-			if j == 0 && k == 0 {
-				g.kind, g.m, g.target, g.rungs = h.Engine, h.M, h.WitnessTarget, h.Rungs
-				g.window, g.windowBuckets = h.Window, h.WindowBuckets
-			} else if h.Engine != g.kind || h.M != g.m || h.WitnessTarget != g.target || h.Rungs != g.rungs ||
-				h.Window != g.window || h.WindowBuckets != g.windowBuckets {
-				return nil, fmt.Errorf("cluster: member %d (%s) is incoherent: engine %s m %d target %d rungs %d window %d/%d, cluster has engine %s m %d target %d rungs %d window %d/%d",
-					idx, url, h.Engine, h.M, h.WitnessTarget, h.Rungs, h.Window, h.WindowBuckets, g.kind, g.m, g.target, g.rungs, g.window, g.windowBuckets)
-			}
-			if k == 0 {
-				groupN = h.N
-				gr.rng = Range{Lo: lo, Hi: lo + groupN}
-			} else if h.N != groupN {
-				return nil, fmt.Errorf("cluster: member %d (%s): replica universe %d, range %d's other replicas hold %d — replicas of one range must be sized identically",
-					idx, url, h.N, j, groupN)
-			}
-			gr.replicas = append(gr.replicas, &replica{cl: cl})
-		}
-		g.groups = append(g.groups, gr)
-		lo += groupN
-	}
-	g.n = lo
-	// Leftover members are spares.  They must be reachable and serving —
-	// whatever engine they hold is a placeholder the first re-seed
-	// replaces wholesale through POST /restore.
-	for idx := nGroups * cfg.Replicas; idx < len(cfg.Members); idx++ {
-		url := cfg.Members[idx]
+	for idx, url := range cfg.Members {
 		cl := g.newClient(url)
 		h, err := cl.Health()
+		if err == nil && !h.Serving {
+			err = errors.New("draining")
+		}
+		j, k := idx/cfg.Replicas, idx%cfg.Replicas
+		if j >= nGroups {
+			// Leftover members are spares.  They must be reachable and
+			// serving — whatever engine they hold is a placeholder the
+			// first re-seed replaces wholesale through POST /restore.
+			if err != nil {
+				return nil, fmt.Errorf("cluster: spare %s: %w", url, err)
+			}
+			g.spares = append(g.spares, &replica{cl: cl})
+			continue
+		}
 		if err != nil {
-			return nil, fmt.Errorf("cluster: spare %s: %w", url, err)
+			return nil, fmt.Errorf("cluster: member %d (%s): %w", idx, url, err)
 		}
-		if !h.Serving {
-			return nil, fmt.Errorf("cluster: spare %s is draining", url)
+		if idx == 0 {
+			if g.kind, err = server.KindNamed(h.Engine); err != nil {
+				return nil, fmt.Errorf("cluster: member 0 (%s): %w", url, err)
+			}
+			g.ref = h
 		}
-		g.spares = append(g.spares, &replica{cl: cl})
+		if k == 0 {
+			g.groups = append(g.groups, &group{idx: j, rng: Range{Lo: g.n, Hi: g.n + h.N}})
+			g.n += h.N
+		}
+		gr := g.groups[j]
+		if err := g.verifyMember(h, gr.rng); err != nil {
+			return nil, fmt.Errorf("cluster: member %d (%s), replica %d of range %d, is incoherent: %w", idx, url, k, j, err)
+		}
+		gr.replicas = append(gr.replicas, &replica{cl: cl})
 	}
 	// A star cluster's ranges are slices of the vertex set whose total
 	// must be exactly the graph the members' ladders (and witness
 	// universes) were sized for — anything else silently mis-scopes the
 	// double cover.
-	if g.kind == "star" && g.n != g.m {
-		return nil, fmt.Errorf("cluster: star member ranges cover %d vertices, engines are sized for a %d-vertex graph", g.n, g.m)
+	if g.kind == server.Star && g.n != g.ref.M {
+		return nil, fmt.Errorf("cluster: star member ranges cover %d vertices, engines are sized for a %d-vertex graph", g.n, g.ref.M)
 	}
 	g.mux.HandleFunc("POST /ingest", g.handleIngest)
 	g.mux.HandleFunc("GET /best", g.handleBest)
@@ -213,11 +193,12 @@ func (g *Gateway) newClient(url string) *server.Client {
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // Universe returns the total item universe [0, n) and the witness
-// universe m (0 for insert-only clusters).
-func (g *Gateway) Universe() (n, m int64) { return g.n, g.m }
+// universe m (0 where witnesses are unbounded: insert-only and window
+// clusters).
+func (g *Gateway) Universe() (n, m int64) { return g.n, g.ref.M }
 
 // Kind returns the members' engine kind.
-func (g *Gateway) Kind() string { return g.kind }
+func (g *Gateway) Kind() string { return g.kind.Name }
 
 // Replicas returns the configured copies per range.
 func (g *Gateway) Replicas() int { return g.cfg.Replicas }
@@ -398,7 +379,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, rejectCode(err), server.IngestResponse{Error: err.Error()})
 		return
 	}
-	headerM := g.m
+	headerM := g.ref.M
 	if headerM == 0 {
 		headerM = sc.M()
 	}
@@ -632,7 +613,8 @@ func (f *ingestFanout) finish() (server.IngestResponse, error) {
 
 // checkUpdate validates one decoded update against the cluster universe
 // and engine kind, mirroring the engine's own boundary checks so nothing
-// invalid is ever forwarded.
+// invalid is ever forwarded.  m is 0 for exactly the kinds whose
+// witnesses are unbounded.
 func (g *Gateway) checkUpdate(i int, u feww.Update) error {
 	if u.A < 0 || u.A >= g.n {
 		return fmt.Errorf("%w: update %d: item %d not in [0, %d)", feww.ErrOutOfUniverse, i, u.A, g.n)
@@ -640,31 +622,11 @@ func (g *Gateway) checkUpdate(i int, u feww.Update) error {
 	if u.B < 0 {
 		return fmt.Errorf("%w: update %d: witness %d is negative", feww.ErrOutOfUniverse, i, u.B)
 	}
-	switch g.kind {
-	case "turnstile":
-		if u.B >= g.m {
-			return fmt.Errorf("%w: update %d: witness %d not in [0, %d)", feww.ErrOutOfUniverse, i, u.B, g.m)
-		}
-	case "star":
-		// Star streams are directed half-edges over the vertex set: both
-		// endpoints are vertices, and deletions need the turnstile ladder
-		// (not served by this cluster).
-		if u.Op != feww.Insert {
-			return fmt.Errorf("update %d: %v: star cluster cannot apply deletions", i, u)
-		}
-		if u.B >= g.m {
-			return fmt.Errorf("%w: update %d: neighbour %d not in [0, %d)", feww.ErrOutOfUniverse, i, u.B, g.m)
-		}
-	case "window":
-		// A sliding window forgets by aging out, never by explicit
-		// removal; deletions need the turnstile ladder.
-		if u.Op != feww.Insert {
-			return fmt.Errorf("update %d: %v: window cluster cannot apply deletions (run the members in turnstile mode)", i, u)
-		}
-	default:
-		if u.Op != feww.Insert {
-			return fmt.Errorf("update %d: %v: insert-only cluster cannot apply deletions (run the members in turnstile mode)", i, u)
-		}
+	if u.Op != feww.Insert && !g.kind.Deletions {
+		return fmt.Errorf("update %d: %w", i, g.kind.DeletionError(u))
+	}
+	if g.ref.M > 0 && u.B >= g.ref.M {
+		return fmt.Errorf("%w: update %d: witness %d not in [0, %d)", feww.ErrOutOfUniverse, i, u.B, g.ref.M)
 	}
 	return nil
 }
@@ -680,10 +642,10 @@ func (g *Gateway) checkUpdate(i int, u feww.Update) error {
 // answer shapes and merge under the same rules; those remain
 // healthz/stats territory.
 func (g *Gateway) checkAnswerRung(rung int) error {
-	if g.rungs == 0 && rung >= 0 {
+	if g.ref.Rungs == 0 && rung >= 0 {
 		return errors.New("rung-annotated answer from a member of a non-star cluster: engine kind mismatch (check GET /healthz)")
 	}
-	if g.rungs > 0 && rung < 0 {
+	if g.ref.Rungs > 0 && rung < 0 {
 		return errors.New("answer without a star rung in a star cluster: engine kind mismatch (check GET /healthz)")
 	}
 	return nil
@@ -729,7 +691,7 @@ func (g *Gateway) handleBest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, http.StatusOK, mergeBest(g.target, bests))
+	writeJSON(w, http.StatusOK, mergeBest(g.ref.WitnessTarget, bests))
 }
 
 func (g *Gateway) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -807,14 +769,14 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 
 	out := StatsResponse{
 		Service:       "fewwgate",
-		Engine:        g.kind,
+		Engine:        g.kind.Name,
 		Consistency:   consistency,
 		Members:       len(slots),
 		Groups:        len(g.groups),
 		Replicas:      g.cfg.Replicas,
 		N:             g.n,
-		M:             g.m,
-		WitnessTarget: g.target,
+		M:             g.ref.M,
+		WitnessTarget: g.ref.WitnessTarget,
 		UptimeSeconds: time.Since(g.start).Seconds(),
 		PerMember:     make([]MemberStats, len(slots)),
 	}
@@ -823,11 +785,11 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		if errs[i] != nil {
 			ms.Error = errs[i].Error()
 			out.Degraded = true
-		} else if st := stats[i]; st.Engine != g.kind {
+		} else if st := stats[i]; st.Engine != g.kind.Name {
 			// A replica serving another engine kind (a foreign /restore
 			// slipped in) must surface as degraded here too, not only on
 			// the next /healthz poll — its numbers would corrupt the sums.
-			ms.Error = fmt.Sprintf("engine kind %q, cluster is %q", st.Engine, g.kind)
+			ms.Error = fmt.Sprintf("engine kind %q, cluster is %q", st.Engine, g.kind.Name)
 			ms.Stats = &st
 			out.Degraded = true
 		} else {
@@ -894,17 +856,17 @@ type HealthzResponse struct {
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	out := HealthzResponse{
 		Service:       "fewwgate",
-		Engine:        g.kind,
+		Engine:        g.kind.Name,
 		Serving:       true,
 		N:             g.n,
-		M:             g.m,
-		WitnessTarget: g.target,
+		M:             g.ref.M,
+		WitnessTarget: g.ref.WitnessTarget,
 		Groups:        len(g.groups),
 		Replicas:      g.cfg.Replicas,
 	}
-	if g.window > 0 {
-		out.Window = g.window * int64(len(g.groups))
-		out.WindowBuckets = g.windowBuckets
+	if g.ref.Window > 0 {
+		out.Window = g.ref.Window * int64(len(g.groups))
+		out.WindowBuckets = g.ref.WindowBuckets
 	}
 	// Spares join the same concurrent probe fan-out as the group members:
 	// one dead spare then costs the response a single member timeout in
@@ -962,23 +924,26 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // kinds would silently produce garbage, so a mismatched member is
 // reported not-ready instead.
 func (g *Gateway) verifyMember(h server.HealthResponse, rng Range) error {
-	if h.Engine != g.kind {
-		return fmt.Errorf("engine kind %q, cluster is %q", h.Engine, g.kind)
+	if h.Engine != g.kind.Name {
+		return fmt.Errorf("engine kind %q, cluster is %q", h.Engine, g.kind.Name)
 	}
 	if h.N != rng.Len() {
 		return fmt.Errorf("engine universe %d does not cover range %s (%d items)", h.N, rng, rng.Len())
 	}
-	if h.M != g.m {
-		return fmt.Errorf("witness universe %d, cluster has %d", h.M, g.m)
+	if h.M != g.ref.M {
+		return fmt.Errorf("witness universe %d, cluster has %d", h.M, g.ref.M)
 	}
-	if h.WitnessTarget != g.target {
-		return fmt.Errorf("witness target %d, cluster has %d", h.WitnessTarget, g.target)
+	if h.WitnessTarget != g.ref.WitnessTarget {
+		return fmt.Errorf("witness target %d, cluster has %d", h.WitnessTarget, g.ref.WitnessTarget)
 	}
-	if h.Rungs != g.rungs {
-		return fmt.Errorf("star ladder has %d rungs, cluster has %d", h.Rungs, g.rungs)
+	if h.Rungs != g.ref.Rungs {
+		return fmt.Errorf("star ladder has %d rungs, cluster has %d", h.Rungs, g.ref.Rungs)
 	}
-	if h.Window != g.window || h.WindowBuckets != g.windowBuckets {
-		return fmt.Errorf("window geometry %d/%d, cluster has %d/%d", h.Window, h.WindowBuckets, g.window, g.windowBuckets)
+	// Each window member slides its own window over its share of the
+	// stream, so the members compose one global window of groups x
+	// window updates only when their geometries are identical.
+	if h.Window != g.ref.Window || h.WindowBuckets != g.ref.WindowBuckets {
+		return fmt.Errorf("window geometry %d/%d, cluster has %d/%d", h.Window, h.WindowBuckets, g.ref.Window, g.ref.WindowBuckets)
 	}
 	return nil
 }
@@ -1184,7 +1149,7 @@ func (g *Gateway) handleRebalance(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleIndex(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{
 		"service":          "fewwgate",
-		"engine":           g.kind,
+		"engine":           g.kind.Name,
 		"POST /ingest":     "FEWW binary stream body, split across ranges and fanned to every live replica (a rejected window stops the stream; ?atomic=1 validates the whole body before any member sees it)",
 		"GET /best":        "max-merged best neighbourhood (?fresh=1 for barrier consistency, pinned to primaries)",
 		"GET /results":     "concatenated full-target neighbourhoods (?fresh=1 for barrier consistency, pinned to primaries)",

@@ -50,20 +50,38 @@ func TestClusterRejectsMixedKinds(t *testing.T) {
 	}
 	starURL := startNode(t, server.NewStarBackend(sEng), dir, 2).ts.URL
 
+	window80URL := newWindowNode(t, dir, 3, 50, 80).ts.URL
+	window120URL := newWindowNode(t, dir, 4, 50, 120).ts.URL
+
 	for _, tc := range []struct {
 		name    string
 		members []string
+		want    string // what the refusal must name
 	}{
-		{"insert+turnstile", []string{insertURL, turnstileURL}},
-		{"insert+star", []string{insertURL, starURL}},
-		{"star+turnstile", []string{starURL, turnstileURL}},
+		{"insert+turnstile", []string{insertURL, turnstileURL}, "engine"},
+		{"insert+star", []string{insertURL, starURL}, "engine"},
+		{"star+turnstile", []string{starURL, turnstileURL}, "engine"},
+		{"insert+window", []string{insertURL, window80URL}, "engine"},
+		{"window-geometry", []string{window80URL, window120URL}, "window"},
 	} {
 		if _, err := New(Config{Members: tc.members}); err == nil {
 			t.Errorf("%s: gateway accepted a mixed-kind cluster", tc.name)
-		} else if !strings.Contains(err.Error(), "engine") {
-			t.Errorf("%s: error does not name the kind mismatch: %v", tc.name, err)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error does not name the %s mismatch: %v", tc.name, tc.want, err)
 		}
 	}
+}
+
+func newWindowNode(t *testing.T, dir string, idx int, n, window int64) *node {
+	t.Helper()
+	eng, err := feww.NewWindowEngine(feww.WindowEngineConfig{
+		Config: feww.Config{N: n, D: 8, Alpha: 1, Seed: uint64(idx + 1)},
+		Window: window, Buckets: 4, Shards: 2, BatchSize: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startNode(t, server.NewWindowBackend(eng), dir, idx)
 }
 
 func TestClusterFlagsKindSwappedMember(t *testing.T) {

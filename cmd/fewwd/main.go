@@ -50,8 +50,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		algo       = flag.String("algo", "", "engine kind: insert (default) | turnstile | star | window")
-		turnstile  = flag.Bool("turnstile", false, "deprecated alias for -algo turnstile")
+		algo       = flag.String("algo", server.InsertOnly.Algo, "engine kind: insert | turnstile | star | window")
 		n          = flag.Int64("n", 1_000_000, "item universe size |A| (star: vertices this node owns as star centers)")
 		m          = flag.Int64("m", 0, "witness universe size |B| (turnstile: default 4n; star: total graph vertices, default n)")
 		d          = flag.Int64("d", 5000, "degree/frequency threshold (unused by star, whose guess ladder covers all degrees)")
@@ -70,19 +69,7 @@ func main() {
 	)
 	flag.Parse()
 
-	kind := *algo
-	if kind == "" {
-		kind = "insert"
-		if *turnstile {
-			kind = "turnstile"
-		}
-	} else if *turnstile && kind != "turnstile" {
-		// A migration leftover must fail fast, not silently boot the
-		// -algo kind and surface as ingest 400s later.
-		log.Fatalf("fewwd: -turnstile conflicts with -algo %s (drop the deprecated -turnstile flag)", kind)
-	}
-
-	backend, err := buildBackend(*restore, kind, *n, *m, *d, *alpha, *eps, *seed, *scale, *shards, *batch, *queue, *window, *buckets)
+	backend, err := buildBackend(*restore, *algo, *n, *m, *d, *alpha, *eps, *seed, *scale, *shards, *batch, *queue, *window, *buckets)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -129,8 +116,8 @@ func main() {
 }
 
 // buildBackend restores from a snapshot file or constructs a fresh engine
-// of the requested kind.
-func buildBackend(restore, kind string, n, m, d int64, alpha int, eps float64, seed uint64, scale float64, shards, batch, queue int, window, buckets int64) (server.Backend, error) {
+// of the kind the -algo value algo names.
+func buildBackend(restore, algo string, n, m, d int64, alpha int, eps float64, seed uint64, scale float64, shards, batch, queue int, window, buckets int64) (server.Backend, error) {
 	if restore != "" {
 		f, err := os.Open(restore)
 		if err != nil {
@@ -143,8 +130,12 @@ func buildBackend(restore, kind string, n, m, d int64, alpha int, eps float64, s
 		}
 		return backend, nil
 	}
+	kind, err := server.KindForAlgo(algo)
+	if err != nil {
+		return nil, fmt.Errorf("fewwd: -algo: %w", err)
+	}
 	switch kind {
-	case "turnstile":
+	case server.Turnstile:
 		if m == 0 {
 			m = 4 * n
 		}
@@ -158,7 +149,7 @@ func buildBackend(restore, kind string, n, m, d int64, alpha int, eps float64, s
 			return nil, fmt.Errorf("fewwd: %w (turnstile instances usually need -scale 0.01-0.1)", err)
 		}
 		return server.NewTurnstileBackend(eng), nil
-	case "star":
+	case server.Star:
 		eng, err := feww.NewStarEngine(feww.StarEngineConfig{
 			N: n, M: m, Alpha: alpha, Eps: eps, Seed: seed, ScaleFactor: scale,
 			Shards: shards, BatchSize: batch, QueueDepth: queue,
@@ -167,7 +158,7 @@ func buildBackend(restore, kind string, n, m, d int64, alpha int, eps float64, s
 			return nil, fmt.Errorf("fewwd: %w", err)
 		}
 		return server.NewStarBackend(eng), nil
-	case "window":
+	case server.Window:
 		eng, err := feww.NewWindowEngine(feww.WindowEngineConfig{
 			Config: feww.Config{N: n, D: d, Alpha: alpha, Seed: seed, ScaleFactor: scale},
 			Window: window, Buckets: buckets,
@@ -177,7 +168,7 @@ func buildBackend(restore, kind string, n, m, d int64, alpha int, eps float64, s
 			return nil, fmt.Errorf("fewwd: %w (-algo window needs -window; see -buckets for the expiry granularity)", err)
 		}
 		return server.NewWindowBackend(eng), nil
-	case "insert":
+	default: // server.InsertOnly
 		eng, err := feww.NewEngine(feww.EngineConfig{
 			Config: feww.Config{N: n, D: d, Alpha: alpha, Seed: seed, ScaleFactor: scale},
 			Shards: shards, BatchSize: batch, QueueDepth: queue,
@@ -186,7 +177,5 @@ func buildBackend(restore, kind string, n, m, d int64, alpha int, eps float64, s
 			return nil, fmt.Errorf("fewwd: %w", err)
 		}
 		return server.NewInsertOnlyBackend(eng), nil
-	default:
-		return nil, fmt.Errorf("fewwd: unknown -algo %q (want insert, turnstile, star or window)", kind)
 	}
 }

@@ -9,7 +9,7 @@
 //
 //	fewwload -scenario zipf -n 100000 -edges 1000000 -d 2000
 //	fewwload -scenario dos -n 20000 -d 3000 -heavy 3 -edges 80000
-//	fewwload -scenario churn -n 500 -m 2000 -d 50 -edges 2000     (fewwd -turnstile)
+//	fewwload -scenario churn -n 500 -m 2000 -d 50 -edges 2000     (fewwd -algo turnstile)
 //	fewwload -scenario planted -checkpoint-every 20 -verify
 //	fewwload -scenario star -n 2000 -d 300 -edges 4000      (fewwd -algo star)
 //	fewwload -scenario window -d 40 -edges 200000           (fewwd -algo window)
@@ -256,7 +256,7 @@ func generateWindow(cl *server.Client, hz cluster.HealthzResponse, gateway bool,
 		if rangesOverride > 0 {
 			return nil, 0, 0, nil, fmt.Errorf("-ranges is for feeding a single node a cluster-shaped stream; a gateway's range count comes from its /healthz")
 		}
-		if hz.Engine != "window" {
+		if hz.Engine != server.Window.Name {
 			return nil, 0, 0, nil, fmt.Errorf("-scenario window needs a window cluster, target serves %q", hz.Engine)
 		}
 		n, geom.ranges = hz.N, hz.Groups
@@ -266,7 +266,7 @@ func generateWindow(cl *server.Client, hz cluster.HealthzResponse, gateway bool,
 		if err != nil {
 			return nil, 0, 0, nil, err
 		}
-		if h.Engine != "window" {
+		if h.Engine != server.Window.Name {
 			return nil, 0, 0, nil, fmt.Errorf("-scenario window needs fewwd -algo window, target serves %q", h.Engine)
 		}
 		n = h.N

@@ -206,19 +206,23 @@ func newEngineFromInners(cfg EngineConfig, inners []*core.InsertOnly) *Engine {
 // snapshot persists.
 func (e *Engine) Config() EngineConfig { return e.cfg }
 
-// checkEdge validates one occurrence against an n-item universe — the
-// boundary rule Engine and WindowEngine share.  A negative item would
-// make the shard router's modulo negative (an out-of-range shard index);
-// an item >= n would silently land in the wrong residue class and
-// corrupt the local/global id mapping.  The witness space is unbounded
-// but must be non-negative.  Violations are rejected here, before
-// anything is buffered.
-func checkEdge(n int64, i, total int, a, b int64) error {
+// checkEdge validates one occurrence, edge i of a batch of total,
+// against an n-item, m-witness universe — the boundary rule every engine
+// kind shares (m == 0: witnesses are unbounded, as for Engine and
+// WindowEngine).  A negative item would make the shard router's modulo
+// negative (an out-of-range shard index); an item >= n would silently
+// land in the wrong residue class and corrupt the local/global id
+// mapping.  Witnesses must be non-negative, and below m when m bounds
+// them.  Violations are rejected here, before anything is buffered.
+func checkEdge(n, m int64, i, total int, a, b int64) error {
 	if a < 0 || a >= n {
 		return fmt.Errorf("%w: edge %d of %d: item %d not in [0, %d)", ErrOutOfUniverse, i, total, a, n)
 	}
 	if b < 0 {
 		return fmt.Errorf("%w: edge %d of %d: witness %d is negative", ErrOutOfUniverse, i, total, b)
+	}
+	if m > 0 && b >= m {
+		return fmt.Errorf("%w: edge %d of %d: witness %d not in [0, %d)", ErrOutOfUniverse, i, total, b, m)
 	}
 	return nil
 }
@@ -229,7 +233,7 @@ func checkEdge(n int64, i, total int, a, b int64) error {
 // wrapping ErrOutOfUniverse for an edge outside the configured universe
 // and ErrClosed after Close; in both cases nothing is fed.
 func (e *Engine) ProcessEdge(a, b int64) error {
-	if err := checkEdge(e.cfg.N, 0, 1, a, b); err != nil {
+	if err := checkEdge(e.cfg.N, 0, 0, 1, a, b); err != nil {
 		return err
 	}
 	return e.f.add(Edge{A: a, B: b})
@@ -241,7 +245,7 @@ func (e *Engine) ProcessEdge(a, b int64) error {
 // state is exactly as before the call.
 func (e *Engine) ProcessEdges(edges []Edge) error {
 	for i, ed := range edges {
-		if err := checkEdge(e.cfg.N, i, len(edges), ed.A, ed.B); err != nil {
+		if err := checkEdge(e.cfg.N, 0, i, len(edges), ed.A, ed.B); err != nil {
 			return err
 		}
 	}
@@ -367,20 +371,13 @@ func newTurnstileFromInners(cfg TurnstileEngineConfig, inners []*core.InsertDele
 // (*Engine).Config.
 func (e *TurnstileEngine) Config() TurnstileEngineConfig { return e.cfg }
 
-// checkUpdate validates one signed update against the engine's universe
-// and the turnstile op set; see checkEdge for why out-of-range
-// items must be stopped before the shard router.
+// checkUpdate validates one signed update: the turnstile op set, then
+// the shared universe check (checkEdge).
 func (e *TurnstileEngine) checkUpdate(i, total int, u Update) error {
 	if u.Op != stream.Insert && u.Op != stream.Delete {
 		return fmt.Errorf("%w: update %d of %d: op %d", ErrInvalidOp, i, total, u.Op)
 	}
-	if u.A < 0 || u.A >= e.cfg.N {
-		return fmt.Errorf("%w: update %d of %d: item %d not in [0, %d)", ErrOutOfUniverse, i, total, u.A, e.cfg.N)
-	}
-	if u.B < 0 || u.B >= e.cfg.M {
-		return fmt.Errorf("%w: update %d of %d: witness %d not in [0, %d)", ErrOutOfUniverse, i, total, u.B, e.cfg.M)
-	}
-	return nil
+	return checkEdge(e.cfg.N, e.cfg.M, i, total, u.A, u.B)
 }
 
 // Insert feeds the insertion of edge (a, b).  It returns an error wrapping

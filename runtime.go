@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 
 	"feww/internal/core"
+	"feww/internal/enginesnap"
 )
 
 // shardAlgo is the per-shard algorithm instance hosted by the runtime:
@@ -357,7 +358,7 @@ func (rt *engineRuntime[E]) snapshot(w io.Writer, kind byte, header []uint64) er
 	rt.f.query(func() {
 		bw := bufio.NewWriter(w)
 		enc := &wordEncoder{w: bw}
-		enc.bytes(engineSnapMagic[:])
+		enc.bytes(enginesnap.Magic[:])
 		enc.bytes([]byte{kind})
 		for _, h := range header {
 			enc.u64(h)

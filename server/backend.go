@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sync"
@@ -23,9 +22,9 @@ import (
 // takes the strict barrier and reflects every update accepted before
 // the call.
 type Backend interface {
-	// Kind is "insert-only", "turnstile", "star" or "window", reported by
-	// /stats and /healthz (where the cluster gateway verifies it per
-	// member).
+	// Kind is the wire name of the backend's row in the engine-kind table
+	// (kind.go), reported by /stats and /healthz (where the cluster
+	// gateway verifies it per member).
 	Kind() string
 	// Ingest applies a batch of updates in order.  The engine validates
 	// every update against its universe before feeding anything, so a
@@ -56,11 +55,11 @@ type Backend interface {
 	WitnessTarget() int64
 	Usage(fresh bool) (spaceWords, snapshotBytes int)
 	// Universe reports the configured universe sizes: the item universe n
-	// and the witness universe m (0 for the insertion-only engine, whose
-	// witnesses are unbounded; the global vertex count for the star
-	// engine).  The /healthz endpoint reports both so a cluster gateway
-	// can verify a member's engine matches the range it is supposed to
-	// serve.
+	// and the witness universe m (0 for the insertion-only and window
+	// engines, whose witnesses are unbounded; the global vertex count for
+	// the star engine).  The /healthz endpoint reports both so a cluster
+	// gateway can verify a member's engine matches the range it is
+	// supposed to serve.
 	Universe() (n, m int64)
 	// Closed reports whether the engine has stopped accepting the stream
 	// (Close has run); queries stay valid either way.
@@ -94,9 +93,10 @@ type ResultsAnswer struct {
 }
 
 // engineOps is the surface every engine façade shares, courtesy of the
-// generic runtime; commonBackend adapts it once so the per-kind backends
-// carry only the methods that genuinely differ (kind, ingest validation,
-// and the query merge shape).
+// generic runtime.  commonBackend embeds it, so Go promotes the methods
+// Backend takes unchanged; it adapts Flush and Usage, and adds the
+// kind's row and universe, so the per-kind backends carry only the
+// methods that genuinely differ (ingest and the query merge shape).
 type engineOps interface {
 	Flush() error
 	Shards() int
@@ -111,42 +111,39 @@ type engineOps interface {
 }
 
 type commonBackend struct {
-	ops engineOps
+	engineOps
+	kind kindID
+	n, m int64 // Universe, fixed at construction
 }
 
-func (b commonBackend) Flush()                     { b.ops.Flush() }
-func (b commonBackend) Shards() int                { return b.ops.Shards() }
-func (b commonBackend) QueueDepths() []int         { return b.ops.QueueDepths() }
-func (b commonBackend) ViewEpochs() []uint64       { return b.ops.ViewEpochs() }
-func (b commonBackend) WitnessTarget() int64       { return b.ops.WitnessTarget() }
-func (b commonBackend) Closed() bool               { return b.ops.Closed() }
-func (b commonBackend) Snapshot(w io.Writer) error { return b.ops.Snapshot(w) }
-func (b commonBackend) Close()                     { b.ops.Close() }
+func (b commonBackend) Kind() string             { return kinds[b.kind].Name }
+func (b commonBackend) Universe() (int64, int64) { return b.n, b.m }
+func (b commonBackend) Flush()                   { b.engineOps.Flush() }
 func (b commonBackend) Usage(fresh bool) (int, int) {
 	if fresh {
-		return b.ops.UsageFresh()
+		return b.engineOps.UsageFresh()
 	}
-	return b.ops.Usage()
+	return b.engineOps.Usage()
 }
 
 // NewInsertOnlyBackend wraps a sharded insertion-only engine.
 func NewInsertOnlyBackend(e *feww.Engine) Backend {
-	return newFlatBackend(e, "insert-only", "insertion-only engine", e.Config().N)
+	return newFlatBackend(e, insertOnlyKind, e.Config().N)
 }
 
 // NewTurnstileBackend wraps a sharded insertion-deletion engine.
 func NewTurnstileBackend(e *feww.TurnstileEngine) Backend {
-	return &turnstileBackend{commonBackend{e}, e}
+	return &turnstileBackend{commonBackend{e, turnstileKind, e.Config().N, e.Config().M}, e}
 }
 
 // NewStarBackend wraps a sharded star-detection engine.
 func NewStarBackend(e *feww.StarEngine) Backend {
-	return &starBackend{commonBackend{e}, e}
+	return &starBackend{commonBackend{e, starKind, e.Config().N, e.Config().M}, e}
 }
 
 // NewWindowBackend wraps a sharded sliding-window engine.
 func NewWindowBackend(e *feww.WindowEngine) Backend {
-	return windowBackend{newFlatBackend(e, "window", "sliding-window engine", e.Config().N), e}
+	return windowBackend{newFlatBackend(e, windowKind, e.Config().N), e}
 }
 
 // flatEngine is the surface the two flat insert-only kinds share — the
@@ -162,29 +159,24 @@ type flatEngine interface {
 	EdgesProcessed() int64
 }
 
-// flatBackend adapts either flat kind.  The kinds differ only in the
-// name /stats reports, the engine named when a deletion is rejected, and
-// (for the window kind) the geometry probe windowBackend adds on top.
+// flatBackend adapts either flat kind.  The kinds differ only in their
+// row and (for the window kind) the geometry probe windowBackend adds on
+// top.
 type flatBackend struct {
 	commonBackend
-	e      flatEngine
-	kind   string // Kind()
-	engine string // the engine named in the deletion-reject message
-	n      int64  // item universe, fixed at construction
+	e flatEngine
 }
 
-func newFlatBackend(e flatEngine, kind, engine string, n int64) *flatBackend {
-	return &flatBackend{commonBackend{e}, e, kind, engine, n}
+func newFlatBackend(e flatEngine, kind kindID, n int64) *flatBackend {
+	return &flatBackend{commonBackend{e, kind, n, 0}, e}
 }
-
-func (b *flatBackend) Kind() string { return b.kind }
 
 // Ingest rejects deletions here (the edge type the engine feeds on has no
 // sign, and a sliding window forgets by aging out, not by explicit
 // removal); universe validation is the engine's own boundary check, so a
 // hostile id can never reach the shard router no matter who calls.
 func (b *flatBackend) Ingest(ups []feww.Update) error {
-	edges, err := insertEdges(ups, b.engine)
+	edges, err := b.insertEdges(ups)
 	if err != nil {
 		return err
 	}
@@ -213,8 +205,7 @@ func (b *flatBackend) Results(fresh bool) ResultsAnswer {
 	return ResultsAnswer{Neighbourhoods: b.e.Results(), Rung: -1}
 }
 
-func (b *flatBackend) Processed() int64         { return b.e.EdgesProcessed() }
-func (b *flatBackend) Universe() (int64, int64) { return b.n, 0 }
+func (b *flatBackend) Processed() int64 { return b.e.EdgesProcessed() }
 
 // windowBackend is the window kind: the flat adapter plus Window,
 // WindowBuckets and WindowSpan, which surface the window geometry and
@@ -234,8 +225,6 @@ type turnstileBackend struct {
 	commonBackend
 	e *feww.TurnstileEngine
 }
-
-func (b *turnstileBackend) Kind() string { return "turnstile" }
 
 // Ingest delegates validation entirely to the engine boundary: ops,
 // items, and witnesses are all checked there before anything is fed.
@@ -266,22 +255,19 @@ func (b *turnstileBackend) result(fresh bool) (feww.Neighbourhood, error) {
 	return b.e.Result()
 }
 
-func (b *turnstileBackend) Processed() int64         { return b.e.UpdatesProcessed() }
-func (b *turnstileBackend) Universe() (int64, int64) { return b.e.Config().N, b.e.Config().M }
+func (b *turnstileBackend) Processed() int64 { return b.e.UpdatesProcessed() }
 
 type starBackend struct {
 	commonBackend
 	e *feww.StarEngine
 }
 
-func (b *starBackend) Kind() string { return "star" }
-
 // Ingest feeds directed half-edges: the stream carries the double cover
 // (both orientations of every undirected edge), so a cluster gateway can
 // range-route it by center like any other stream.  Deletions are
 // rejected here, as for the flat kinds.
 func (b *starBackend) Ingest(ups []feww.Update) error {
-	edges, err := insertEdges(ups, "star engine")
+	edges, err := b.insertEdges(ups)
 	if err != nil {
 		return err
 	}
@@ -322,8 +308,7 @@ func (b *starBackend) Results(fresh bool) ResultsAnswer {
 	return ResultsAnswer{Neighbourhoods: res.Neighbourhoods, Rung: res.Rung, Guess: res.Guess}
 }
 
-func (b *starBackend) Processed() int64         { return b.e.EdgesProcessed() }
-func (b *starBackend) Universe() (int64, int64) { return b.e.Config().N, b.e.Config().M }
+func (b *starBackend) Processed() int64 { return b.e.EdgesProcessed() }
 
 // Rungs reports the ladder length for the health probe; cluster members
 // must agree on it for their rung indices to merge.
@@ -343,13 +328,13 @@ func putEdgeBuf(buf *[]feww.Edge) {
 }
 
 // insertEdges strips the op sign off an insertion-only batch, rejecting
-// deletions with a pointer at the turnstile mode.  The returned buffer
-// comes from edgeBufPool; the caller hands it back with putEdgeBuf once
-// the engine has consumed it.
-func insertEdges(ups []feww.Update, engine string) (*[]feww.Edge, error) {
+// deletions with the row's DeletionError.  The returned buffer comes from
+// edgeBufPool; the caller hands it back with putEdgeBuf once the engine
+// has consumed it.
+func (b commonBackend) insertEdges(ups []feww.Update) (*[]feww.Edge, error) {
 	for i, u := range ups {
 		if u.Op != feww.Insert {
-			return nil, fmt.Errorf("update %d of %d: %v: %s cannot apply deletions (run the service in turnstile mode)", i, len(ups), u, engine)
+			return nil, fmt.Errorf("update %d of %d: %w", i, len(ups), kinds[b.kind].DeletionError(u))
 		}
 	}
 	bufp := edgeBufPool.Get().(*[]feww.Edge)
@@ -359,42 +344,4 @@ func insertEdges(ups []feww.Update, engine string) (*[]feww.Edge, error) {
 	}
 	*bufp = edges
 	return bufp, nil
-}
-
-// RestoreBackend reads an engine snapshot — a checkpoint file, or the
-// bytes of GET /snapshot — sniffs which engine kind it holds, and returns
-// a running backend of that kind.  This is the paper's one-way protocol
-// made operational: party i's memory state restored by party i+1.
-func RestoreBackend(r io.Reader) (Backend, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(9)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading engine snapshot header: %v", feww.ErrBadSnapshot, err)
-	}
-	switch head[8] {
-	case 1: // turnstile kind byte
-		e, err := feww.RestoreTurnstileEngine(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewTurnstileBackend(e), nil
-	case 2: // star kind byte
-		e, err := feww.RestoreStarEngine(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewStarBackend(e), nil
-	case 3: // window kind byte
-		e, err := feww.RestoreWindowEngine(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewWindowBackend(e), nil
-	default:
-		e, err := feww.RestoreEngine(br)
-		if err != nil {
-			return nil, err
-		}
-		return NewInsertOnlyBackend(e), nil
-	}
 }

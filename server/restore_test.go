@@ -1,19 +1,23 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"testing"
 
 	"feww"
+	"feww/internal/enginesnap"
 	"feww/internal/stream"
 )
 
 // TestRestoreBackendAllKinds pins the checkpoint/restore contract for
-// every engine kind behind one dispatch point: a Backend snapshot fed to
-// RestoreBackend yields a backend of the same kind that continues the
-// stream byte-identically — same final snapshot bytes, same query
-// surface — which is what a fewwd restart and a cluster rebalance both
-// rely on.
+// every row of the engine-kind table: a Backend snapshot carries the
+// row's kind byte, and RestoreBackend turns it into a backend of the
+// same kind that continues the stream byte-identically — same final
+// snapshot bytes, same query surface — which is what a fewwd restart and
+// a cluster rebalance both rely on.  A row without a case fails the
+// test.
 func TestRestoreBackendAllKinds(t *testing.T) {
 	ins := func(a, b int64) feww.Update { return stream.Ins(a, b) }
 	del := func(a, b int64) feww.Update { return stream.Del(a, b) }
@@ -76,6 +80,36 @@ func TestRestoreBackendAllKinds(t *testing.T) {
 				ins(11, 25), ins(25, 11), ins(11, 26), ins(26, 11),
 			},
 		},
+		{
+			kind: "window",
+			build: func(t *testing.T) Backend {
+				eng, err := feww.NewWindowEngine(feww.WindowEngineConfig{
+					Config: feww.Config{N: 100, D: 4, Alpha: 1, Seed: 8},
+					Window: 12, Buckets: 3, Shards: 2, BatchSize: 4,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return NewWindowBackend(eng)
+			},
+			// The suffix is longer than the window, so the continuation
+			// also expires buckets restored from the snapshot.
+			pre: []feww.Update{ins(3, 1), ins(3, 2), ins(7, 9), ins(3, 3), ins(7, 10)},
+			post: []feww.Update{
+				ins(5, 1), ins(5, 2), ins(5, 3), ins(5, 4), ins(5, 5), ins(5, 6), ins(5, 7),
+				ins(5, 8), ins(5, 9), ins(5, 10), ins(5, 11), ins(5, 12), ins(5, 13),
+			},
+		},
+	}
+
+	covered := make(map[string]bool)
+	for _, tc := range cases {
+		covered[tc.kind] = true
+	}
+	for _, k := range kinds {
+		if !covered[k.Name] {
+			t.Errorf("engine kind %q has no restore case", k.Name)
+		}
 	}
 
 	for _, tc := range cases {
@@ -89,6 +123,14 @@ func TestRestoreBackendAllKinds(t *testing.T) {
 			var snap bytes.Buffer
 			if err := be.Snapshot(&snap); err != nil {
 				t.Fatal(err)
+			}
+			row, err := KindNamed(tc.kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := enginesnap.PeekKind(bufio.NewReader(bytes.NewReader(snap.Bytes())))
+			if err != nil || b != row.snapshot {
+				t.Fatalf("snapshot kind byte %d (%v), row says %d", b, err, row.snapshot)
 			}
 			restored, err := RestoreBackend(bytes.NewReader(snap.Bytes()))
 			if err != nil {
@@ -131,5 +173,25 @@ func TestRestoreBackendAllKinds(t *testing.T) {
 				t.Fatalf("best answers diverged: %+v vs %+v", ba, bb)
 			}
 		})
+	}
+}
+
+// TestRestoreBackendUnknownKind: a snapshot whose header names no row of
+// the kind table is a bad snapshot, not an insert-only restore attempt.
+func TestRestoreBackendUnknownKind(t *testing.T) {
+	eng, err := feww.NewEngine(feww.EngineConfig{Config: feww.Config{N: 10, D: 2, Alpha: 1, Seed: 1}, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := NewInsertOnlyBackend(eng)
+	defer be.Close()
+	var snap bytes.Buffer
+	if err := be.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	raw := snap.Bytes()
+	raw[enginesnap.HeaderSize-1] = 0xff
+	if _, err := RestoreBackend(bytes.NewReader(raw)); !errors.Is(err, feww.ErrBadSnapshot) {
+		t.Fatalf("RestoreBackend(kind byte 0xff) = %v, want ErrBadSnapshot", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"feww/internal/core"
+	"feww/internal/enginesnap"
 	"feww/internal/xrand"
 )
 
@@ -24,12 +25,11 @@ import (
 //
 // Layout (all fixed-width fields little-endian uint64 unless noted):
 //
-//	magic   [8]byte "FEWWENG1"
+//	magic   [8]byte "FEWWENG1" (magic and kind: internal/enginesnap)
 //	kind    byte    0 = insertion-only Engine, 1 = TurnstileEngine,
 //	                2 = StarEngine, 3 = WindowEngine
 //	header  kind-specific configuration + element count (see below)
 //	shards  Shards times: byte length, then that shard's core snapshot
-var engineSnapMagic = [8]byte{'F', 'E', 'W', 'W', 'E', 'N', 'G', '1'}
 
 const (
 	engineKindInsertOnly = 0
@@ -40,10 +40,10 @@ const (
 	// Container header sizes: magic + kind byte + the fixed uint64 fields
 	// each Snapshot writes before the per-shard payloads.  Usage and
 	// UsageFresh must agree with Snapshot on these.
-	engineSnapHeaderBytes    = 8 + 1 + 9*8
-	turnstileSnapHeaderBytes = 8 + 1 + 11*8
-	starSnapHeaderBytes      = 8 + 1 + 10*8
-	windowSnapHeaderBytes    = 8 + 1 + 11*8
+	engineSnapHeaderBytes    = enginesnap.HeaderSize + 9*8
+	turnstileSnapHeaderBytes = enginesnap.HeaderSize + 11*8
+	starSnapHeaderBytes      = enginesnap.HeaderSize + 10*8
+	windowSnapHeaderBytes    = enginesnap.HeaderSize + 11*8
 )
 
 // Snapshot writes the engine's complete state to w: resolved
@@ -72,15 +72,10 @@ func (e *Engine) Snapshot(w io.Writer) error {
 // snapshot (use RestoreTurnstileEngine / RestoreStarEngine /
 // RestoreWindowEngine) or are corrupt.
 func RestoreEngine(r io.Reader) (*Engine, error) {
-	br := bufio.NewReader(r)
-	kind, err := readEngineSnapKind(br)
+	dec, err := openEngineSnap(r, engineKindInsertOnly, "an insertion-only Engine")
 	if err != nil {
 		return nil, err
 	}
-	if kind != engineKindInsertOnly {
-		return nil, fmt.Errorf("%w: snapshot holds engine kind %d, not an insertion-only Engine", ErrBadSnapshot, kind)
-	}
-	dec := &wordDecoder{r: br}
 	cfg := EngineConfig{
 		Config: Config{
 			N:     int64(dec.u64()),
@@ -142,15 +137,10 @@ func (e *TurnstileEngine) Snapshot(w io.Writer) error {
 // (*TurnstileEngine).Snapshot and returns a running engine that continues
 // exactly where the snapshotted one stopped.
 func RestoreTurnstileEngine(r io.Reader) (*TurnstileEngine, error) {
-	br := bufio.NewReader(r)
-	kind, err := readEngineSnapKind(br)
+	dec, err := openEngineSnap(r, engineKindTurnstile, "a TurnstileEngine")
 	if err != nil {
 		return nil, err
 	}
-	if kind != engineKindTurnstile {
-		return nil, fmt.Errorf("%w: snapshot holds engine kind %d, not a TurnstileEngine", ErrBadSnapshot, kind)
-	}
-	dec := &wordDecoder{r: br}
 	cfg := TurnstileEngineConfig{
 		TurnstileConfig: TurnstileConfig{
 			N:     int64(dec.u64()),
@@ -189,23 +179,20 @@ func RestoreTurnstileEngine(r io.Reader) (*TurnstileEngine, error) {
 	return eng, nil
 }
 
-// readEngineSnapKind consumes and checks the container magic, returning
-// the engine kind byte.
-func readEngineSnapKind(br *bufio.Reader) (byte, error) {
-	var head [9]byte
-	if _, err := io.ReadFull(br, head[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+// openEngineSnap consumes the container magic and kind byte of r,
+// failing unless the kind is want (what names that engine), and returns
+// a decoder positioned at the kind-specific header words.
+func openEngineSnap(r io.Reader, want byte, what string) (*wordDecoder, error) {
+	br := bufio.NewReader(r)
+	kind, err := enginesnap.PeekKind(br)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	if [8]byte(head[:8]) != engineSnapMagic {
-		return 0, fmt.Errorf("%w: bad engine magic %q", ErrBadSnapshot, head[:8])
+	if kind != want {
+		return nil, fmt.Errorf("%w: snapshot holds engine kind %d, not %s", ErrBadSnapshot, kind, what)
 	}
-	kind := head[8]
-	switch kind {
-	case engineKindInsertOnly, engineKindTurnstile, engineKindStar, engineKindWindow:
-	default:
-		return 0, fmt.Errorf("%w: unknown engine kind %d", ErrBadSnapshot, kind)
-	}
-	return kind, nil
+	_, _ = br.Discard(enginesnap.HeaderSize) // peeked above, so it cannot fail
+	return &wordDecoder{r: br}, nil
 }
 
 // Upper bounds a snapshot header may claim before any allocation is made

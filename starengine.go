@@ -27,7 +27,6 @@
 package feww
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -189,26 +188,13 @@ func (e *StarEngine) Config() StarEngineConfig { return e.cfg }
 // Guesses returns the (1+Eps) ladder, identical on every shard.
 func (e *StarEngine) Guesses() []int64 { return e.guesses }
 
-// checkHalfEdge validates one directed half-edge: the center must lie in
-// this engine's slice [0, N), the neighbour in the global vertex set
-// [0, M).
-func (e *StarEngine) checkHalfEdge(i, total int, a, b int64) error {
-	if a < 0 || a >= e.cfg.N {
-		return fmt.Errorf("%w: half-edge %d of %d: center %d not in [0, %d)", ErrOutOfUniverse, i, total, a, e.cfg.N)
-	}
-	if b < 0 || b >= e.cfg.M {
-		return fmt.Errorf("%w: half-edge %d of %d: neighbour %d not in [0, %d)", ErrOutOfUniverse, i, total, b, e.cfg.M)
-	}
-	return nil
-}
-
 // ProcessHalfEdge feeds one directed half-edge: center a in [0, N) gained
 // neighbour b in [0, M).  Undirected inputs must arrive as both
 // orientations exactly once each (the double cover of Lemma 3.3); use
 // ProcessEdge to feed both at once on a full-universe engine.  Errors as
 // (*Engine).ProcessEdge.
 func (e *StarEngine) ProcessHalfEdge(a, b int64) error {
-	if err := e.checkHalfEdge(0, 1, a, b); err != nil {
+	if err := checkEdge(e.cfg.N, e.cfg.M, 0, 1, a, b); err != nil {
 		return err
 	}
 	return e.f.add(Edge{A: a, B: b})
@@ -219,7 +205,7 @@ func (e *StarEngine) ProcessHalfEdge(a, b int64) error {
 // The whole batch is validated first and rejected atomically.
 func (e *StarEngine) ProcessHalfEdges(edges []Edge) error {
 	for i, ed := range edges {
-		if err := e.checkHalfEdge(i, len(edges), ed.A, ed.B); err != nil {
+		if err := checkEdge(e.cfg.N, e.cfg.M, i, len(edges), ed.A, ed.B); err != nil {
 			return err
 		}
 	}
@@ -232,10 +218,10 @@ func (e *StarEngine) ProcessHalfEdges(edges []Edge) error {
 // center slice cannot be mirrored locally and the call errors; feed
 // pre-mirrored half-edges instead, as the cluster gateway does.
 func (e *StarEngine) ProcessEdge(u, v int64) error {
-	if err := e.checkHalfEdge(0, 2, u, v); err != nil {
+	if err := checkEdge(e.cfg.N, e.cfg.M, 0, 2, u, v); err != nil {
 		return err
 	}
-	if err := e.checkHalfEdge(1, 2, v, u); err != nil {
+	if err := checkEdge(e.cfg.N, e.cfg.M, 1, 2, v, u); err != nil {
 		return err
 	}
 	return e.f.addBatch([]Edge{{A: u, B: v}, {A: v, B: u}})
@@ -353,15 +339,10 @@ func (e *StarEngine) Snapshot(w io.Writer) error {
 // snapshotted one stopped, including its ladder, shard partitioning and
 // batch/queue tuning.
 func RestoreStarEngine(r io.Reader) (*StarEngine, error) {
-	br := bufio.NewReader(r)
-	kind, err := readEngineSnapKind(br)
+	dec, err := openEngineSnap(r, engineKindStar, "a StarEngine")
 	if err != nil {
 		return nil, err
 	}
-	if kind != engineKindStar {
-		return nil, fmt.Errorf("%w: snapshot holds engine kind %d, not a StarEngine", ErrBadSnapshot, kind)
-	}
-	dec := &wordDecoder{r: br}
 	cfg := StarEngineConfig{
 		N:     int64(dec.u64()),
 		M:     int64(dec.u64()),

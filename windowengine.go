@@ -21,7 +21,6 @@
 package feww
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -188,7 +187,7 @@ func (e *WindowEngine) WindowSpan() (start, end int64) {
 // window position; what it displaces is whatever bucket falls out of the
 // window as the stream advances.  Errors as (*Engine).ProcessEdge.
 func (e *WindowEngine) ProcessEdge(a, b int64) error {
-	if err := checkEdge(e.cfg.N, 0, 1, a, b); err != nil {
+	if err := checkEdge(e.cfg.N, 0, 0, 1, a, b); err != nil {
 		return err
 	}
 	return e.f.add(core.WindowUpdate{Edge: stream.Edge{A: a, B: b}})
@@ -206,7 +205,7 @@ var windowBufPool sync.Pool
 // the caller keeps ownership.
 func (e *WindowEngine) ProcessEdges(edges []Edge) error {
 	for i, ed := range edges {
-		if err := checkEdge(e.cfg.N, i, len(edges), ed.A, ed.B); err != nil {
+		if err := checkEdge(e.cfg.N, 0, i, len(edges), ed.A, ed.B); err != nil {
 			return err
 		}
 	}
@@ -282,15 +281,10 @@ func (e *WindowEngine) Snapshot(w io.Writer) error {
 // after the last pre-snapshot one, so the restored stream is
 // indistinguishable from an uninterrupted run.
 func RestoreWindowEngine(r io.Reader) (*WindowEngine, error) {
-	br := bufio.NewReader(r)
-	kind, err := readEngineSnapKind(br)
+	dec, err := openEngineSnap(r, engineKindWindow, "a WindowEngine")
 	if err != nil {
 		return nil, err
 	}
-	if kind != engineKindWindow {
-		return nil, fmt.Errorf("%w: snapshot holds engine kind %d, not a WindowEngine", ErrBadSnapshot, kind)
-	}
-	dec := &wordDecoder{r: br}
 	cfg := WindowEngineConfig{
 		Config: Config{
 			N:     int64(dec.u64()),
