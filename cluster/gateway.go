@@ -74,6 +74,10 @@ type Gateway struct {
 	mux    *http.ServeMux
 	start  time.Time
 
+	// bestBody and resultsBody cache the encoded merged published
+	// answers, keyed on the member ETags they merge (published.go).
+	bestBody, resultsBody server.BodySlot[string]
+
 	// spare pool: reachable nodes not currently serving a range, adoptable
 	// by the reconciler when a group loses a replica.
 	spareMu sync.Mutex
@@ -327,12 +331,6 @@ func (g *Gateway) firstError(errs []error) error {
 	return errors.New(strings.Join(msgs, "; "))
 }
 
-// wantFresh mirrors the server's ?fresh=1 opt-in.
-func wantFresh(r *http.Request) bool {
-	fresh, err := strconv.ParseBool(r.URL.Query().Get("fresh"))
-	return err == nil && fresh
-}
-
 // wantAtomic reports the ?atomic=1 opt-in to the whole-request reject
 // boundary (see handleIngest).
 func wantAtomic(r *http.Request) bool {
@@ -376,7 +374,7 @@ func wantAtomic(r *http.Request) bool {
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sc, err := stream.NewScanner(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
 	if err != nil {
-		writeJSON(w, rejectCode(err), server.IngestResponse{Error: err.Error()})
+		server.WriteJSON(w, rejectCode(err), server.IngestResponse{Error: err.Error()})
 		return
 	}
 	headerM := g.ref.M
@@ -415,7 +413,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if atomic {
 		if badReq != nil {
-			writeJSON(w, rejectCode(badReq), server.IngestResponse{Error: badReq.Error()})
+			server.WriteJSON(w, rejectCode(badReq), server.IngestResponse{Error: badReq.Error()})
 			return
 		}
 		fan = g.openIngest(headerM)
@@ -436,7 +434,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case sendErr != nil:
 		code, out.Error = http.StatusBadGateway, sendErr.Error()
 	}
-	writeJSON(w, code, out)
+	server.WriteJSON(w, code, out)
 }
 
 // rejectCode is the status of an ingest body the gateway refused: 413
@@ -651,57 +649,26 @@ func (g *Gateway) checkAnswerRung(rung int) error {
 	return nil
 }
 
-// scatterRead reads every group's slice of a query concurrently through
-// groupRead — the published or the fresh member call per ?fresh=1 —
-// rejects an answer whose star rung contradicts the cluster kind, and
-// remaps each answer's range-local vertex ids to global ones.  rung
-// reports an answer's rung, with ok false when the answer is empty and
-// there is nothing to check.
-func scatterRead[T any](g *Gateway, r *http.Request,
-	published, fresh func(*server.Client) (T, error),
-	rung func(T) (rung int, ok bool), remap func(T, int64) T) ([]T, error) {
-	wantF := wantFresh(r)
-	read := published
-	if wantF {
-		read = fresh
-	}
-	out := make([]T, len(g.groups))
-	errs := g.scatterGroups(func(j int, gr *group) error {
-		return g.groupRead(gr, wantF, func(cl *server.Client) error {
-			v, err := read(cl)
-			if err != nil {
-				return err
-			}
-			if rg, ok := rung(v); ok {
-				if err := g.checkAnswerRung(rg); err != nil {
-					return err
-				}
-			}
-			out[j] = remap(v, gr.rng.Lo)
-			return nil
-		})
-	})
-	return out, g.firstError(errs)
-}
-
 func (g *Gateway) handleBest(w http.ResponseWriter, r *http.Request) {
-	bests, err := scatterRead(g, r, (*server.Client).Best, (*server.Client).BestFresh,
+	bests, tags, err := scatterRead(g, server.WantFresh(r), func(gr *group) *answerSlot[server.BestResponse] { return &gr.best },
+		(*server.Client).BestIfNoneMatch, (*server.Client).BestFresh,
 		func(b server.BestResponse) (int, bool) { return respRung(b), b.Found }, remapBest)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, http.StatusOK, mergeBest(g.ref.WitnessTarget, bests))
+	serveMerged(w, r, &g.bestBody, tags, func() any { return mergeBest(g.ref.WitnessTarget, bests) })
 }
 
 func (g *Gateway) handleResults(w http.ResponseWriter, r *http.Request) {
-	lists, err := scatterRead(g, r, (*server.Client).Results, (*server.Client).ResultsFresh,
+	lists, tags, err := scatterRead(g, server.WantFresh(r), func(gr *group) *answerSlot[[]server.NeighbourhoodJSON] { return &gr.results },
+		(*server.Client).ResultsIfNoneMatch, (*server.Client).ResultsFresh,
 		func(nbs []server.NeighbourhoodJSON) (int, bool) { return listRung(nbs), len(nbs) > 0 }, remapResults)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, http.StatusOK, mergeResults(lists))
+	serveMerged(w, r, &g.resultsBody, tags, func() any { return mergeResults(lists) })
 }
 
 // MemberInfo identifies one node in the cluster /stats and /healthz
@@ -750,7 +717,7 @@ type StatsResponse struct {
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	fresh := wantFresh(r)
+	fresh := server.WantFresh(r)
 	consistency := "published"
 	if fresh {
 		consistency = "fresh"
@@ -808,7 +775,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		// and never count toward the sums or degrade the cluster.
 		out.Spares = append(out.Spares, MemberStats{MemberInfo: memberSlot{rep: rep}.info()})
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // MemberHealth is one replica's slice of the cluster /healthz payload.
@@ -913,7 +880,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !out.Serving {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, out)
+	server.WriteJSON(w, code, out)
 }
 
 // verifyMember checks that a member's reported engine matches the range
@@ -1004,7 +971,7 @@ func (g *Gateway) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // RebalanceRequest asks the gateway to move a range to a different node.
@@ -1143,11 +1110,11 @@ func (g *Gateway) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	out.Elements = health.Elements
 	rep.setClient(tcl)
 	rep.markLive()
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (g *Gateway) handleIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{
+	server.WriteJSON(w, http.StatusOK, map[string]string{
 		"service":          "fewwgate",
 		"engine":           g.kind.Name,
 		"POST /ingest":     "FEWW binary stream body, split across ranges and fanned to every live replica (a rejected window stops the stream; ?atomic=1 validates the whole body before any member sees it)",
@@ -1159,12 +1126,4 @@ func (g *Gateway) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"POST /checkpoint": "fan out a checkpoint to every live replica",
 		"POST /rebalance":  `{"range": i, "target": url, "mode": "ship"|"adopt"} — move an unreplicated range`,
 	})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

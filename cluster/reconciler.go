@@ -345,5 +345,5 @@ func (g *Gateway) Status() ReconcilerStatus {
 }
 
 func (g *Gateway) handleReconciler(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, g.Status())
+	server.WriteJSON(w, http.StatusOK, g.Status())
 }

@@ -91,6 +91,11 @@ type group struct {
 	primary  int
 
 	rr atomic.Uint64 // published-read rotation cursor
+
+	// best and results remember the group's last tagged published
+	// answers, which published reads revalidate (published.go).
+	best    answerSlot[server.BestResponse]
+	results answerSlot[[]server.NeighbourhoodJSON]
 }
 
 // snapshot returns a copy of the replica set and the current primary.

@@ -23,6 +23,7 @@ type lifecycleEngine interface {
 	WitnessTarget() int64
 	QueueDepths() []int
 	ViewEpochs() []uint64
+	EpochSum() uint64
 	Usage() (int, int)
 	UsageFresh() (int, int)
 	SnapshotSize() int
@@ -145,6 +146,14 @@ func TestEngineLifecycleAllKinds(t *testing.T) {
 			if err := eng.Snapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
+			// Quiescent after Drain: the epoch sum is the vector's sum.
+			var epochs uint64
+			for _, e := range eng.ViewEpochs() {
+				epochs += e
+			}
+			if got := eng.EpochSum(); got != epochs || got == 0 {
+				t.Fatalf("after Drain EpochSum = %d, sum of ViewEpochs = %d (want equal and > 0)", got, epochs)
+			}
 			if buf.Len() != size || eng.SnapshotSize() != size {
 				t.Fatalf("Snapshot wrote %d bytes, SnapshotSize = %d, Usage reports %d", buf.Len(), eng.SnapshotSize(), size)
 			}
@@ -188,26 +197,26 @@ func TestEnginePublicMethodSets(t *testing.T) {
 		want []string
 	}{
 		{reflect.TypeOf((*Engine)(nil)), []string{
-			"Best", "BestFresh", "Close", "Closed", "Config", "Drain", "EdgesProcessed", "Flush",
-			"ProcessEdge", "ProcessEdges", "QueueDepths", "Result", "ResultFresh", "Results",
+			"Best", "BestFresh", "Close", "Closed", "Config", "Drain", "EdgesProcessed", "EpochSum",
+			"Flush", "ProcessEdge", "ProcessEdges", "QueueDepths", "Result", "ResultFresh", "Results",
 			"ResultsFresh", "Shards", "Snapshot", "SnapshotSize", "SpaceWords", "SpaceWordsFresh",
 			"Usage", "UsageFresh", "ViewEpochs", "WitnessTarget",
 		}},
 		{reflect.TypeOf((*TurnstileEngine)(nil)), []string{
-			"Close", "Closed", "Config", "Delete", "Drain", "Flush", "Insert", "ProcessUpdates",
+			"Close", "Closed", "Config", "Delete", "Drain", "EpochSum", "Flush", "Insert", "ProcessUpdates",
 			"QueueDepths", "Result", "ResultFresh", "Shards", "Snapshot", "SnapshotSize",
 			"SpaceWords", "SpaceWordsFresh", "UpdatesProcessed", "Usage", "UsageFresh",
 			"ViewEpochs", "WitnessTarget",
 		}},
 		{reflect.TypeOf((*StarEngine)(nil)), []string{
-			"Best", "BestFresh", "Close", "Closed", "Config", "Drain", "EdgesProcessed", "Flush",
-			"Guesses", "ProcessEdge", "ProcessHalfEdge", "ProcessHalfEdges", "QueueDepths",
+			"Best", "BestFresh", "Close", "Closed", "Config", "Drain", "EdgesProcessed", "EpochSum",
+			"Flush", "Guesses", "ProcessEdge", "ProcessHalfEdge", "ProcessHalfEdges", "QueueDepths",
 			"Results", "ResultsFresh", "Shards", "Snapshot", "SnapshotSize", "SpaceWords",
 			"SpaceWordsFresh", "Usage", "UsageFresh", "ViewEpochs", "WitnessTarget",
 		}},
 		{reflect.TypeOf((*WindowEngine)(nil)), []string{
 			"Best", "BestFresh", "Buckets", "Close", "Closed", "Config", "Drain", "EdgesProcessed",
-			"Flush", "ProcessEdge", "ProcessEdges", "QueueDepths", "Result", "ResultFresh",
+			"EpochSum", "Flush", "ProcessEdge", "ProcessEdges", "QueueDepths", "Result", "ResultFresh",
 			"Results", "ResultsFresh", "Shards", "Snapshot", "SnapshotSize", "SpaceWords",
 			"SpaceWordsFresh", "Usage", "UsageFresh", "ViewEpochs", "Window", "WindowSpan",
 			"WitnessTarget",

@@ -19,7 +19,17 @@
 //     a get-wrapper such as the fanout's newBuf) to a package-level
 //     variable gives the buffer a second long-lived owner and is flagged.
 //     Returning a pooled buffer is the Get-wrapper idiom and stays legal;
-//     the wrapper's caller inherits the obligation.
+//     the wrapper's caller inherits the obligation;
+//
+//   - no alias past the Put: in a function that Puts a pooled buffer
+//     (deferred or not), memory aliasing the buffer's contents — a
+//     method result of slice type such as buf.Bytes(), a slicing or
+//     dereference of the buffer, append onto one of those, or a local
+//     bound to any of them — must not be placed in a composite literal,
+//     returned, or stored anywhere but back into the buffer.  Such a
+//     value outlives the Put, and the next Get rewrites it: the class of
+//     a cached response body built in a pooled encode buffer.  Copy the
+//     bytes out first (bytes.Clone, append onto nil).
 //
 // Statements inside defer are exempt from the kill/use tracking: the
 // canonical `defer func() { *buf = (*buf)[:0]; pool.Put(buf) }()` reset
@@ -201,6 +211,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, putWrappers map[*types.Fun
 		return true
 	})
 
+	checkAliasEscape(pass, fd, poolDerived, putWrappers)
+
 	if len(kills) == 0 {
 		return
 	}
@@ -353,4 +365,117 @@ func isDerivedExprCall(pass *analysis.Pass, e ast.Expr, getWrappers map[*types.F
 		return true
 	}
 	return getWrappers[calleeOf(pass, call)]
+}
+
+// checkAliasEscape flags contents of a pooled buffer that leave a
+// function which also returns the buffer to its pool (see the package
+// doc's alias rule).  pooled holds the function's locals bound to Get
+// or get-wrapper results.
+func checkAliasEscape(pass *analysis.Pass, fd *ast.FuncDecl, pooled map[types.Object]bool, putWrappers map[*types.Func]int) {
+	// The pooled locals this function Puts, deferred Puts included: an
+	// alias escaping the function dangles either way.
+	put := make(map[types.Object]bool)
+	ast.Inspect(fd, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if expr, ok := putArgument(pass, call, putWrappers); ok {
+				if root := analysis.RootIdent(expr); root != nil && pooled[pass.TypesInfo.Uses[root]] {
+					put[pass.TypesInfo.Uses[root]] = true
+				}
+			}
+		}
+		return true
+	})
+	if len(put) == 0 {
+		return
+	}
+	aliases := make(map[types.Object]types.Object) // local -> pooled buffer it aliases
+	var aliasOf func(e ast.Expr) types.Object
+	aliasOf = func(e ast.Expr) types.Object {
+		switch e := e.(type) {
+		case *ast.ParenExpr:
+			return aliasOf(e.X)
+		case *ast.Ident:
+			obj := pass.TypesInfo.Uses[e]
+			if put[obj] {
+				return nil // the buffer handle itself: the other rules own it
+			}
+			return aliases[obj]
+		case *ast.StarExpr:
+			if root := analysis.RootIdent(e.X); root != nil && put[pass.TypesInfo.Uses[root]] {
+				if _, ok := pass.TypesInfo.TypeOf(e).Underlying().(*types.Slice); ok {
+					return pass.TypesInfo.Uses[root]
+				}
+			}
+			return aliasOf(e.X)
+		case *ast.SliceExpr:
+			if root := analysis.RootIdent(e.X); root != nil && put[pass.TypesInfo.Uses[root]] {
+				return pass.TypesInfo.Uses[root]
+			}
+			return aliasOf(e.X)
+		case *ast.CallExpr:
+			if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "append" && len(e.Args) > 0 {
+				if _, builtin := pass.TypesInfo.Uses[id].(*types.Builtin); builtin {
+					return aliasOf(e.Args[0])
+				}
+			}
+			recv, _ := analysis.ReceiverOf(e)
+			if recv == nil {
+				return nil
+			}
+			if root := analysis.RootIdent(recv); root != nil && put[pass.TypesInfo.Uses[root]] {
+				if _, ok := pass.TypesInfo.TypeOf(e).Underlying().(*types.Slice); ok {
+					return pass.TypesInfo.Uses[root]
+				}
+			}
+		}
+		return nil
+	}
+	report := func(e ast.Expr, buf types.Object) {
+		pass.Reportf(e.Pos(), "%s aliases pooled buffer %s past its Put; copy the bytes out first",
+			analysis.ExprString(e), buf.Name())
+	}
+	ast.Inspect(fd, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) != len(n.Rhs) {
+				return true
+			}
+			for i, lhs := range n.Lhs {
+				buf := aliasOf(n.Rhs[i])
+				if buf == nil {
+					continue
+				}
+				if id, ok := lhs.(*ast.Ident); ok {
+					obj := pass.TypesInfo.Defs[id]
+					if obj == nil {
+						obj = pass.TypesInfo.Uses[id]
+					}
+					if obj != nil && obj.Parent() != pass.Pkg.Scope() {
+						aliases[obj] = buf // a local alias: tracked, not yet an escape
+						continue
+					}
+				}
+				if root := analysis.RootIdent(lhs); root != nil && pass.TypesInfo.Uses[root] == buf {
+					continue // stored back into the buffer itself
+				}
+				report(n.Rhs[i], buf)
+			}
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					elt = kv.Value
+				}
+				if buf := aliasOf(elt); buf != nil {
+					report(elt, buf)
+				}
+			}
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				if buf := aliasOf(res); buf != nil {
+					report(res, buf)
+				}
+			}
+		}
+		return true
+	})
 }

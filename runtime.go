@@ -286,6 +286,21 @@ func (rt *engineRuntime[E]) ViewEpochs() []uint64 {
 	return epochs
 }
 
+// EpochSum reports the sum of the shards' published epochs, without
+// allocating.  Every epoch is bumped by exactly one, by its shard's
+// worker alone, so the sum takes every value once in the engine's
+// lifetime: two equal sums are the same epoch vector.  A caller that
+// reads the sum before and after computing a published answer, and
+// finds it unchanged, knows the answer came from exactly that vector's
+// views — which is how the service keys its encoded-answer cache.
+func (rt *engineRuntime[E]) EpochSum() uint64 {
+	var sum uint64
+	for _, sh := range rt.shards {
+		sum += sh.view.Load().Epoch
+	}
+	return sum
+}
+
 // SpaceWords reports the state size summed over the latest published
 // epochs — every rung (StarEngine) or retained suffix instance
 // (WindowEngine) of every shard.  Sharding pays the O(n log n)

@@ -44,6 +44,12 @@ type Backend interface {
 	// Results returns every full-target neighbourhood found (for the
 	// star engine: every center certified at the winning rung).
 	Results(fresh bool) ResultsAnswer
+	// EpochSum is the sum of the shards' published epochs, read without
+	// allocating.  Within one backend's lifetime equal sums are equal
+	// epoch vectors, so a published answer computed between two equal
+	// readings is exactly that vector's answer: the key of the server's
+	// encoded-answer cache (published.go).
+	EpochSum() uint64
 	// Processed returns the number of stream elements accepted.
 	Processed() int64
 	// Shards, QueueDepths, ViewEpochs, WitnessTarget and Usage feed the
@@ -102,6 +108,7 @@ type engineOps interface {
 	Shards() int
 	QueueDepths() []int
 	ViewEpochs() []uint64
+	EpochSum() uint64
 	WitnessTarget() int64
 	Usage() (int, int)
 	UsageFresh() (int, int)

@@ -108,20 +108,23 @@ func retryable(err error, idempotent bool) bool {
 	return idempotent && errors.Is(err, syscall.ECONNRESET)
 }
 
+// octetStream is the request header of every binary request body.
+var octetStream = http.Header{"Content-Type": {"application/octet-stream"}}
+
 // do issues one request, retrying once per the retryable policy.
 // makeBody returns a fresh body reader per attempt (nil makeBody means a
 // bodyless request; a nil *return* means the body cannot be replayed, so
 // the original error surfaces instead of a bogus empty-body request);
-// contentType is set when non-empty.
-func (c *Client) do(method, path, contentType string, idempotent bool, makeBody func() io.Reader) (*http.Response, error) {
+// header's fields are added to the request.
+func (c *Client) do(method, path string, header http.Header, idempotent bool, makeBody func() io.Reader) (*http.Response, error) {
 	hc := c.http()
 	attempt := func(body io.Reader) (*http.Response, error) {
 		req, err := http.NewRequest(method, c.url(path), body)
 		if err != nil {
 			return nil, err
 		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
+		for k, v := range header {
+			req.Header[k] = v
 		}
 		return hc.Do(req)
 	}
@@ -187,7 +190,7 @@ func (c *Client) IngestStream(body io.Reader) (IngestResponse, error) {
 }
 
 func (c *Client) ingest(makeBody func() io.Reader) (IngestResponse, error) {
-	resp, err := c.do(http.MethodPost, "/ingest", "application/octet-stream", false, makeBody)
+	resp, err := c.do(http.MethodPost, "/ingest", octetStream, false, makeBody)
 	if err != nil {
 		return IngestResponse{}, err
 	}
@@ -215,6 +218,25 @@ func (c *Client) Best() (BestResponse, error) {
 func (c *Client) BestFresh() (BestResponse, error) {
 	var out BestResponse
 	return out, c.getJSON("/best?fresh=1", &out)
+}
+
+// BestIfNoneMatch is Best made conditional on etag, the ETag of the
+// caller's copy of an earlier published /best ("" for none): when the
+// server's answer still has that tag it replies 304, and notModified
+// reports that the caller's copy is current (out is then zero).
+// Otherwise out is the answer and tag its ETag ("" when the server sent
+// none).  ETags are content hashes, so a tag from one replica
+// revalidates against any replica holding the same answer.
+func (c *Client) BestIfNoneMatch(etag string) (out BestResponse, tag string, notModified bool, err error) {
+	tag, notModified, err = c.getJSONIfNoneMatch("/best", etag, &out)
+	return out, tag, notModified, err
+}
+
+// ResultsIfNoneMatch is Results made conditional on etag, as
+// BestIfNoneMatch.
+func (c *Client) ResultsIfNoneMatch(etag string) (out []NeighbourhoodJSON, tag string, notModified bool, err error) {
+	tag, notModified, err = c.getJSONIfNoneMatch("/results", etag, &out)
+	return out, tag, notModified, err
 }
 
 // Results fetches /results (published consistency).
@@ -245,7 +267,7 @@ func (c *Client) StatsFresh() (StatsResponse, error) {
 // and 503 (draining: Serving false) alike; any other status is an error.
 // It is the readiness probe a cluster gateway polls for each member.
 func (c *Client) Health() (HealthResponse, error) {
-	resp, err := c.do(http.MethodGet, "/healthz", "", true, nil)
+	resp, err := c.do(http.MethodGet, "/healthz", nil, true, nil)
 	if err != nil {
 		return HealthResponse{}, err
 	}
@@ -263,7 +285,7 @@ func (c *Client) Health() (HealthResponse, error) {
 
 // Checkpoint asks the server to write its configured checkpoint file.
 func (c *Client) Checkpoint() (CheckpointResponse, error) {
-	resp, err := c.do(http.MethodPost, "/checkpoint", "", true, nil)
+	resp, err := c.do(http.MethodPost, "/checkpoint", nil, true, nil)
 	if err != nil {
 		return CheckpointResponse{}, err
 	}
@@ -280,7 +302,7 @@ func (c *Client) Checkpoint() (CheckpointResponse, error) {
 // engine's memory state crossing the network, as in the paper's one-way
 // protocols.
 func (c *Client) Snapshot(w io.Writer) (int64, error) {
-	resp, err := c.do(http.MethodGet, "/snapshot", "", true, nil)
+	resp, err := c.do(http.MethodGet, "/snapshot", nil, true, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -297,7 +319,7 @@ func (c *Client) Snapshot(w io.Writer) (int64, error) {
 // rebalance.  It returns the server's post-restore health, which carries
 // the restored engine's kind and universe for verification.
 func (c *Client) Restore(snapshot []byte) (HealthResponse, error) {
-	resp, err := c.do(http.MethodPost, "/restore", "application/octet-stream", true,
+	resp, err := c.do(http.MethodPost, "/restore", octetStream, true,
 		func() io.Reader { return bytes.NewReader(snapshot) })
 	if err != nil {
 		return HealthResponse{}, err
@@ -333,14 +355,29 @@ func (c *Client) ShipSnapshot(dst *Client) (HealthResponse, int64, error) {
 }
 
 func (c *Client) getJSON(path string, v any) error {
-	resp, err := c.do(http.MethodGet, path, "", true, nil)
+	_, _, err := c.getJSONIfNoneMatch(path, "", v)
+	return err
+}
+
+// getJSONIfNoneMatch GETs path into v, conditionally on etag when it is
+// not empty, and returns the reply's ETag; notModified reports a 304,
+// which leaves v untouched.
+func (c *Client) getJSONIfNoneMatch(path, etag string, v any) (tag string, notModified bool, err error) {
+	var header http.Header
+	if etag != "" {
+		header = http.Header{"If-None-Match": {etag}}
+	}
+	resp, err := c.do(http.MethodGet, path, header, true, nil)
 	if err != nil {
-		return err
+		return "", false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	switch {
+	case resp.StatusCode == http.StatusNotModified && etag != "":
+		return etag, true, nil
+	case resp.StatusCode != http.StatusOK:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("GET %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
+		return "", false, fmt.Errorf("GET %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return resp.Header.Get("ETag"), false, json.NewDecoder(resp.Body).Decode(v)
 }

@@ -15,8 +15,11 @@
 //	POST /ingest      body: FEWW binary stream, or several complete
 //	                  streams concatenated back to back (framed ingest;
 //	                  internal/stream format)
-//	GET  /best        largest witnessed neighbourhood so far, as JSON
-//	GET  /results     every full-target neighbourhood, as JSON
+//	GET  /best        largest witnessed neighbourhood so far, as JSON;
+//	                  published replies carry an ETag and answer a
+//	                  matching If-None-Match with 304 Not Modified
+//	GET  /results     every full-target neighbourhood, as JSON (ETag and
+//	                  304 as /best)
 //	GET  /stats       per-shard queue depths, counters, snapshot size
 //	GET  /healthz     readiness probe: serving flag + universe parameters
 //	POST /checkpoint  write a snapshot to the configured checkpoint path
@@ -33,6 +36,13 @@
 // most the in-flight batches and are never torn: every served
 // neighbourhood was genuinely held by the engine at a batch boundary.
 //
+// A published /best or /results answer changes only when a shard
+// publishes a new epoch, so it is encoded once per epoch vector and
+// served from that encoding until the next publication (published.go).
+// The cached reply carries a content ETag, a hash of its bytes; a
+// request whose If-None-Match names it gets 304 Not Modified and no body.
+// Fresh replies are never cached and carry no ETag.
+//
 // All handlers are safe to call concurrently; the engine serialises
 // ingest internally.  Ingest is chunk-atomic: a request that fails
 // validation mid-stream reports how many updates were accepted before the
@@ -45,6 +55,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -90,6 +101,10 @@ type Server struct {
 	// request is uncontended except during the swap itself.
 	beMu    sync.RWMutex
 	backend Backend
+	gen     uint64 // bumped by every swap; part of the published-body key
+
+	// bestBody and resultsBody cache the encoded published answers.
+	bestBody, resultsBody BodySlot[publishedKey]
 
 	// ckptMu serialises checkpoint file writes only.  The counters are
 	// atomics so /stats never waits behind a slow disk checkpoint.
@@ -132,12 +147,22 @@ func (s *Server) Backend() Backend {
 // be is the internal alias the handlers use.
 func (s *Server) be() Backend { return s.Backend() }
 
+// pinned returns the current backend together with its generation.
+func (s *Server) pinned() (Backend, uint64) {
+	s.beMu.RLock()
+	defer s.beMu.RUnlock()
+	return s.backend, s.gen
+}
+
 // swapBackend installs a restored backend and returns the previous one.
+// The generation bump invalidates the cached published bodies: epoch
+// sums restart with the new backend.
 func (s *Server) swapBackend(b Backend) Backend {
 	s.beMu.Lock()
 	defer s.beMu.Unlock()
 	old := s.backend
 	s.backend = b
+	s.gen++
 	return old
 }
 
@@ -335,7 +360,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// epochs converge to everything this request accepted, instead of
 	// parking up to one batch per shard until more traffic arrives.
 	be.Flush()
-	writeJSON(w, http.StatusOK, IngestResponse{Accepted: accepted, Total: be.Processed()})
+	WriteJSON(w, http.StatusOK, IngestResponse{Accepted: accepted, Total: be.Processed()})
 }
 
 func (s *Server) ingestError(w http.ResponseWriter, be Backend, accepted int64, err error) {
@@ -354,42 +379,60 @@ func (s *Server) ingestError(w http.ResponseWriter, be Backend, accepted int64, 
 	} else if errors.As(err, &tooLarge) {
 		code = http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, code, IngestResponse{
+	WriteJSON(w, code, IngestResponse{
 		Accepted: accepted,
 		Total:    be.Processed(),
 		Error:    err.Error(),
 	})
 }
 
-// wantFresh reports whether the request opted into the strict barrier
-// consistency with ?fresh=1 (any value strconv.ParseBool accepts).
-func wantFresh(r *http.Request) bool {
+// WantFresh reports whether the request opted into the strict barrier
+// consistency with ?fresh=1 (any value strconv.ParseBool accepts).  A
+// request without a query string is answered without allocating.
+func WantFresh(r *http.Request) bool {
+	if r.URL.RawQuery == "" {
+		return false
+	}
 	fresh, err := strconv.ParseBool(r.URL.Query().Get("fresh"))
 	return err == nil && fresh
 }
 
 func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
-	ans := s.be().Best(wantFresh(r))
+	if WantFresh(r) {
+		WriteJSON(w, http.StatusOK, bestResponse(s.be().Best(true)))
+		return
+	}
+	s.servePublished(w, r, &s.bestBody, func(be Backend) any { return bestResponse(be.Best(false)) })
+}
+
+func bestResponse(ans BestAnswer) BestResponse {
 	resp := BestResponse{WitnessTarget: ans.WitnessTarget, Guess: ans.Guess}
 	if ans.Found {
 		j := rungJSON(ans.Neighbourhood, ans.Rung)
 		resp.Found, resp.Neighbourhood = true, &j
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	ans := s.be().Results(wantFresh(r))
+	if WantFresh(r) {
+		WriteJSON(w, http.StatusOK, resultsResponse(s.be().Results(true)))
+		return
+	}
+	s.servePublished(w, r, &s.resultsBody, func(be Backend) any { return resultsResponse(be.Results(false)) })
+}
+
+func resultsResponse(ans ResultsAnswer) []NeighbourhoodJSON {
 	out := make([]NeighbourhoodJSON, len(ans.Neighbourhoods))
 	for i, nb := range ans.Neighbourhoods {
 		out[i] = rungJSON(nb, ans.Rung)
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	be := s.be()
-	fresh := wantFresh(r)
+	fresh := WantFresh(r)
 	consistency := "published"
 	if fresh {
 		consistency = "fresh"
@@ -413,7 +456,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Window, resp.WindowBuckets = wb.Window(), wb.WindowBuckets()
 		resp.WindowStart, resp.WindowEnd = wb.WindowSpan()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // HealthResponse is the /healthz payload: the readiness probe plus the
@@ -470,7 +513,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !h.Serving {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, h)
+	WriteJSON(w, code, h)
 }
 
 // handleRestore replaces the serving engine with one restored from the
@@ -502,7 +545,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	// Stop the replaced engine's shard goroutines; it stays queryable for
 	// any handler that pinned it before the swap.
 	old.Close()
-	writeJSON(w, http.StatusOK, s.healthResponse())
+	WriteJSON(w, http.StatusOK, s.healthResponse())
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
@@ -515,7 +558,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckpointResponse{Path: s.cfg.CheckpointPath, Bytes: size})
+	WriteJSON(w, http.StatusOK, CheckpointResponse{Path: s.cfg.CheckpointPath, Bytes: size})
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -534,7 +577,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{
+	WriteJSON(w, http.StatusOK, map[string]string{
 		"service":          "fewwd",
 		"engine":           s.be().Kind(),
 		"POST /ingest":     "FEWW binary stream body",
@@ -548,12 +591,20 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON every fewwd and fewwgate reply
+// uses.  The encoding is jsonEncoder's, shared with NewBody, so a cached
+// published body and an uncached reply cannot drift apart.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	// The status is already on the wire; an encode error here can only
 	// mean the client went away.
-	_ = enc.Encode(v)
+	_ = jsonEncoder(w).Encode(v)
+}
+
+// jsonEncoder is the one JSON encoding of the HTTP surface.
+func jsonEncoder(w io.Writer) *json.Encoder {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc
 }
